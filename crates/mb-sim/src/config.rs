@@ -1,11 +1,53 @@
 //! System configuration.
 
+use std::fmt;
+
 use mb_isa::MbFeatures;
 
 use crate::cache::CacheConfig;
 
 /// MicroBlaze clock frequency on the Spartan3 FPGA used in the paper.
 pub const MB_CLOCK_HZ: u64 = 85_000_000;
+
+/// The execution engine a [`System`](crate::System) dispatches through.
+/// Each tier rides on the one before it; with i/d-caches configured the
+/// block and trace tiers retire op by op with per-op cache waits instead
+/// of downgrading to stepping.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Engine {
+    /// Decode-per-fetch reference loop: the seed behavior, re-decoding
+    /// every fetched word.
+    Reference,
+    /// Per-instruction stepping over the pre-decoded store (each imem
+    /// word decoded once into a side table, invalidated on imem writes).
+    Step,
+    /// Superblock retirement: fused straight-line blocks ending at
+    /// control flow, one dispatch per block.
+    Block,
+    /// Megablock loop traces: superblocks chained across predicted-taken
+    /// backward branches with guarded side exits, so a hot loop iterates
+    /// inside one dispatch (the default).
+    Trace,
+}
+
+impl Engine {
+    /// Stable identifier used in `BENCH_sim.json` and CI gates.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Engine::Reference => "reference_decode_per_fetch",
+            Engine::Step => "predecoded_step",
+            Engine::Block => "block",
+            Engine::Trace => "trace",
+        }
+    }
+}
+
+impl fmt::Display for Engine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
 
 /// Configuration of a simulated MicroBlaze system.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -23,34 +65,12 @@ pub struct MbConfig {
     pub icache: Option<CacheConfig>,
     /// Optional data cache.
     pub dcache: Option<CacheConfig>,
-    /// Whether fetch uses the pre-decoded instruction store (decode each
-    /// imem word once into a side table, invalidated on imem writes).
-    /// On by default; disabling it restores the decode-per-fetch
-    /// reference loop, which the fast-path equivalence tests and the
-    /// `simperf` harness use as their baseline. Simulated timing is
-    /// identical either way — this only changes host-side speed.
-    pub predecode: bool,
-    /// Whether the run loop may retire fused straight-line superblocks
-    /// in one dispatch instead of stepping instruction by instruction.
-    /// On by default; it takes effect only with `predecode` on. The
-    /// caches-on restriction is lifted: with i/d-caches configured the
-    /// engine no longer silently downgrades to stepping — it retires
-    /// the same fused ops with per-op budget checks and cache waits
-    /// (see `System::active_engine`). Simulated timing, traces, and
-    /// statistics are identical either way — this only changes
-    /// host-side speed. `MbConfig::with_blocks(false)` restores the PR 3
-    /// per-instruction predecoded loop.
-    pub blocks: bool,
-    /// Whether the block store may chain a superblock across a
-    /// predicted-taken backward branch into a megablock loop trace with
-    /// a guarded side exit: a hot loop body then iterates inside one
-    /// dispatch instead of paying a dispatch per iteration. On by
-    /// default; takes effect only with `blocks` on. Guard failure
-    /// resumes at the exact architectural boundary, so simulated
-    /// timing, traces, and statistics are identical either way.
-    /// `MbConfig::with_traces(false)` restores the PR 5 one-block-per-
-    /// dispatch engine.
-    pub traces: bool,
+    /// The execution engine simulation dispatches through (default
+    /// [`Engine::Trace`]). Every engine retires the identical
+    /// instruction stream with identical simulated timing, traces, and
+    /// statistics — the choice only changes host-side speed. The slower
+    /// tiers stay as test oracles and benchmark baselines.
+    pub engine: Engine,
 }
 
 impl MbConfig {
@@ -66,33 +86,14 @@ impl MbConfig {
             dmem_bytes: 64 * 1024,
             icache: None,
             dcache: None,
-            predecode: true,
-            blocks: true,
-            traces: true,
+            engine: Engine::Trace,
         }
     }
 
-    /// Returns a copy with the pre-decoded fetch path enabled or
-    /// disabled.
+    /// Returns a copy that dispatches through `engine`.
     #[must_use]
-    pub fn with_predecode(mut self, predecode: bool) -> Self {
-        self.predecode = predecode;
-        self
-    }
-
-    /// Returns a copy with the superblock execution engine enabled or
-    /// disabled.
-    #[must_use]
-    pub fn with_blocks(mut self, blocks: bool) -> Self {
-        self.blocks = blocks;
-        self
-    }
-
-    /// Returns a copy with megablock loop-trace chaining enabled or
-    /// disabled.
-    #[must_use]
-    pub fn with_traces(mut self, traces: bool) -> Self {
-        self.traces = traces;
+    pub fn with_engine(mut self, engine: Engine) -> Self {
+        self.engine = engine;
         self
     }
 
@@ -135,6 +136,7 @@ mod tests {
         assert!(c.features.multiplier);
         assert!(!c.features.divider);
         assert!(c.icache.is_none() && c.dcache.is_none());
+        assert_eq!(c.engine, Engine::Trace);
     }
 
     #[test]

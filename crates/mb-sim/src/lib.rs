@@ -44,7 +44,6 @@ pub mod cache;
 mod config;
 mod cpu;
 mod image;
-mod lanes;
 mod machine;
 mod mem;
 mod periph;
@@ -54,11 +53,10 @@ mod stats;
 mod timing;
 mod trace;
 
-pub use config::{MbConfig, MB_CLOCK_HZ};
+pub use config::{Engine, MbConfig, MB_CLOCK_HZ};
 pub use cpu::Cpu;
 pub use image::ProgramImage;
-pub use lanes::{LaneGroup, LOCKSTEP_ENGINE};
-pub use machine::{Engine, Outcome, RunError, StopReason, System};
+pub use machine::{Outcome, RunError, StopReason, System};
 pub use mem::{Bram, MemError};
 pub use periph::{BusResponse, ExitPort, Peripheral, EXIT_PORT_BASE, OPB_BASE};
 pub use sink::{BlockRetire, NullSink, TraceSink, TraceSummary};

@@ -12,7 +12,7 @@ use crate::periph::{OpbBus, Peripheral, EXIT_PORT_BASE, OPB_BASE};
 use crate::predecode::{DecodeCache, Predecoded};
 use crate::sink::{BlockRetire, NullSink, TraceSink, TraceSummary};
 use crate::trace::{Trace, TraceEvent};
-use crate::{Bram, Cpu, ExecStats, ExitPort, MbConfig, MemError};
+use crate::{Bram, Cpu, Engine, ExecStats, ExitPort, MbConfig, MemError};
 
 /// Why a [`System::run`] call stopped.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -107,52 +107,12 @@ impl fmt::Display for RunError {
 
 impl Error for RunError {}
 
-/// The execution engine a [`System`] actually dispatches through —
-/// derived from the configuration, never silently downgraded. Benchmark
-/// harnesses and equality tests assert this instead of assuming the
-/// configuration they requested is the engine they got.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Engine {
-    /// Decode-per-fetch reference loop (`predecode` off): the seed
-    /// behavior, re-decoding every fetched word.
-    Reference,
-    /// Per-instruction stepping over the pre-decoded store (`blocks`
-    /// off).
-    Step,
-    /// Superblock retirement: straight-line blocks ending at control
-    /// flow (`traces` off).
-    Block,
-    /// Megablock loop traces: superblocks chained across predicted-taken
-    /// backward branches with guarded side exits (the default).
-    Trace,
-}
-
-impl Engine {
-    /// Stable identifier used in `BENCH_sim.json` and CI gates.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Engine::Reference => "reference_decode_per_fetch",
-            Engine::Step => "predecoded_step",
-            Engine::Block => "block",
-            Engine::Trace => "trace",
-        }
-    }
-}
-
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// MicroBlaze divide semantics, shared verbatim by the step engine's
-/// [`System::execute`], the block engine's `exec_effect`, and the lane
-/// engine's vectorized effect walk so the three can never drift:
-/// `rd = dividend ÷ divisor`, divide-by-zero yields 0, and signed
-/// overflow (`i32::MIN / -1`) wraps.
+/// [`System::exec_insn`] and the block engine's `exec_effect` so the two
+/// can never drift: `rd = dividend ÷ divisor`, divide-by-zero yields 0,
+/// and signed overflow (`i32::MIN / -1`) wraps.
 #[inline]
-pub(crate) fn divide(divisor: u32, dividend: u32, unsigned: bool) -> u32 {
+fn divide(divisor: u32, dividend: u32, unsigned: bool) -> u32 {
     if divisor == 0 {
         0
     } else if unsigned {
@@ -166,316 +126,25 @@ pub(crate) fn divide(divisor: u32, dividend: u32, unsigned: bool) -> u32 {
 /// subtraction's low 31 bits with the sign bit replaced by the
 /// (signedness-aware) `rb < ra` outcome.
 #[inline]
-pub(crate) fn compare(a: u32, b: u32, unsigned: bool) -> u32 {
+fn compare(a: u32, b: u32, unsigned: bool) -> u32 {
     let diff = b.wrapping_sub(a);
     let lt = if unsigned { b < a } else { (b as i32) < (a as i32) };
     (diff & 0x7FFF_FFFF) | (u32::from(lt) << 31)
 }
 
 /// Control-flow outcome of one instruction.
-pub(crate) enum Next {
+enum Next {
     Seq,
     Jump(u32),
     JumpAfterDelay(u32),
 }
 
-pub(crate) struct Exec {
-    pub(crate) next: Next,
-    pub(crate) cycles: u32,
-    pub(crate) taken: Option<bool>,
-    pub(crate) target: Option<u32>,
-    pub(crate) ea: Option<u32>,
-}
-
-/// One architectural execution context — a register file, carry flag,
-/// `imm`-prefix latch, and a data port — viewed through accessors so the
-/// scalar interpreter in [`exec_insn`] is the *single* implementation of
-/// MicroBlaze semantics for both the [`System`] (its CPU + dmem + OPB +
-/// dcache) and each lane of a [`crate::LaneGroup`] (one column of the
-/// structure-of-arrays planes + that lane's private dmem/OPB).
-///
-/// The default-implemented helpers (`add_with_carry`, the single-bit
-/// shifts) sit here for the same reason `divide`/`compare` are free
-/// functions: one implementation that no engine can drift from.
-pub(crate) trait ExecLane {
-    fn reg(&self, r: mb_isa::Reg) -> u32;
-    fn set_reg(&mut self, r: mb_isa::Reg, v: u32);
-    fn carry(&self) -> bool;
-    fn set_carry(&mut self, c: bool);
-    fn set_imm_prefix(&mut self, hi: i16);
-    fn take_imm(&mut self, imm: i16) -> u32;
-    fn clear_imm_prefix(&mut self);
-    /// Loads through this context's data port (dmem or OPB), returning
-    /// `(value, wait_cycles)`.
-    fn lane_load(&mut self, pc: u32, addr: u32, size: MemSize) -> Result<(u32, u32), RunError>;
-    /// Stores through this context's data port, returning wait cycles.
-    fn lane_store(
-        &mut self,
-        pc: u32,
-        addr: u32,
-        value: u32,
-        size: MemSize,
-    ) -> Result<u32, RunError>;
-
-    fn add_with_carry(&mut self, a: u32, b: u32, cin: u32, keep: bool) -> u32 {
-        let wide = u64::from(a) + u64::from(b) + u64::from(cin);
-        if !keep {
-            self.set_carry(wide >> 32 != 0);
-        }
-        wide as u32
-    }
-
-    // Single-bit shifts write both `rd` and the carry flag; the helpers
-    // keep every engine on one implementation.
-    #[inline]
-    fn shift_sra(&mut self, rd: mb_isa::Reg, ra: mb_isa::Reg) {
-        let a = self.reg(ra);
-        self.set_carry(a & 1 != 0);
-        self.set_reg(rd, ((a as i32) >> 1) as u32);
-    }
-
-    #[inline]
-    fn shift_src(&mut self, rd: mb_isa::Reg, ra: mb_isa::Reg, carry_in: u32) {
-        let a = self.reg(ra);
-        let v = (carry_in << 31) | (a >> 1);
-        self.set_carry(a & 1 != 0);
-        self.set_reg(rd, v);
-    }
-
-    #[inline]
-    fn shift_srl(&mut self, rd: mb_isa::Reg, ra: mb_isa::Reg) {
-        let a = self.reg(ra);
-        self.set_carry(a & 1 != 0);
-        self.set_reg(rd, a >> 1);
-    }
-}
-
-/// Executes one prepared instruction against any [`ExecLane`] context
-/// (no delay-slot handling). This is the interpreter the step engine
-/// monomorphizes over [`System`] and the lane engine monomorphizes over
-/// a lane view — byte-for-byte the same semantics.
-#[inline]
-pub(crate) fn exec_insn<L: ExecLane>(
-    lane: &mut L,
-    pc: u32,
-    d: &Predecoded,
-) -> Result<Exec, RunError> {
-    if !d.supported {
-        return Err(RunError::UnsupportedInsn { pc });
-    }
-    let cpu_carry = u32::from(lane.carry());
-    let mut cycles = d.lat_not_taken;
-    let mut next = Next::Seq;
-    let mut taken = None;
-    let mut target = None;
-    let mut ea = None;
-
-    match d.insn {
-        Insn::Add { rd, ra, rb, keep_carry, use_carry } => {
-            let cin = if use_carry { cpu_carry } else { 0 };
-            let v = lane.add_with_carry(lane.reg(ra), lane.reg(rb), cin, keep_carry);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Rsub { rd, ra, rb, keep_carry, use_carry } => {
-            let cin = if use_carry { cpu_carry } else { 1 };
-            let v = lane.add_with_carry(!lane.reg(ra), lane.reg(rb), cin, keep_carry);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Addi { rd, ra, imm, keep_carry, use_carry } => {
-            let imm32 = lane.take_imm(imm);
-            let cin = if use_carry { cpu_carry } else { 0 };
-            let v = lane.add_with_carry(lane.reg(ra), imm32, cin, keep_carry);
-            lane.set_reg(rd, v);
-        }
-        Insn::Rsubi { rd, ra, imm, keep_carry, use_carry } => {
-            let imm32 = lane.take_imm(imm);
-            let cin = if use_carry { cpu_carry } else { 1 };
-            let v = lane.add_with_carry(!lane.reg(ra), imm32, cin, keep_carry);
-            lane.set_reg(rd, v);
-        }
-        Insn::Cmp { rd, ra, rb, unsigned } => {
-            let v = compare(lane.reg(ra), lane.reg(rb), unsigned);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Mul { rd, ra, rb } => {
-            let v = lane.reg(ra).wrapping_mul(lane.reg(rb));
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Muli { rd, ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let v = lane.reg(ra).wrapping_mul(imm32);
-            lane.set_reg(rd, v);
-        }
-        Insn::Idiv { rd, ra, rb, unsigned } => {
-            // MicroBlaze: rd = rb ÷ ra.
-            let v = divide(lane.reg(ra), lane.reg(rb), unsigned);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Bs { rd, ra, rb, kind } => {
-            let v = kind.apply(lane.reg(ra), lane.reg(rb));
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Bsi { rd, ra, amount, kind } => {
-            let v = kind.apply(lane.reg(ra), u32::from(amount));
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Or { rd, ra, rb } => {
-            let v = lane.reg(ra) | lane.reg(rb);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::And { rd, ra, rb } => {
-            let v = lane.reg(ra) & lane.reg(rb);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Xor { rd, ra, rb } => {
-            let v = lane.reg(ra) ^ lane.reg(rb);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Andn { rd, ra, rb } => {
-            let v = lane.reg(ra) & !lane.reg(rb);
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Ori { rd, ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let v = lane.reg(ra) | imm32;
-            lane.set_reg(rd, v);
-        }
-        Insn::Andi { rd, ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let v = lane.reg(ra) & imm32;
-            lane.set_reg(rd, v);
-        }
-        Insn::Xori { rd, ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let v = lane.reg(ra) ^ imm32;
-            lane.set_reg(rd, v);
-        }
-        Insn::Andni { rd, ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let v = lane.reg(ra) & !imm32;
-            lane.set_reg(rd, v);
-        }
-        Insn::Sra { rd, ra } => {
-            lane.shift_sra(rd, ra);
-            lane.clear_imm_prefix();
-        }
-        Insn::Src { rd, ra } => {
-            lane.shift_src(rd, ra, cpu_carry);
-            lane.clear_imm_prefix();
-        }
-        Insn::Srl { rd, ra } => {
-            lane.shift_srl(rd, ra);
-            lane.clear_imm_prefix();
-        }
-        Insn::Sext8 { rd, ra } => {
-            let v = lane.reg(ra) as u8 as i8 as i32 as u32;
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Sext16 { rd, ra } => {
-            let v = lane.reg(ra) as u16 as i16 as i32 as u32;
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-        }
-        Insn::Br { rd, rb, link, absolute, delay } => {
-            let t = if absolute { lane.reg(rb) } else { pc.wrapping_add(lane.reg(rb)) };
-            if link {
-                lane.set_reg(rd, pc);
-            }
-            lane.clear_imm_prefix();
-            cycles = d.lat_taken;
-            taken = Some(true);
-            target = Some(t);
-            next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
-        }
-        Insn::Bri { rd, imm, link, absolute, delay } => {
-            let imm32 = lane.take_imm(imm);
-            let t = if absolute { imm32 } else { pc.wrapping_add(imm32) };
-            if link {
-                lane.set_reg(rd, pc);
-            }
-            cycles = d.lat_taken;
-            taken = Some(true);
-            target = Some(t);
-            next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
-        }
-        Insn::Bc { cond, ra, rb, delay } => {
-            let t = pc.wrapping_add(lane.reg(rb));
-            let is_taken = cond.eval(lane.reg(ra));
-            lane.clear_imm_prefix();
-            cycles = if is_taken { d.lat_taken } else { d.lat_not_taken };
-            taken = Some(is_taken);
-            if is_taken {
-                target = Some(t);
-                next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
-            }
-        }
-        Insn::Bci { cond, ra, imm, delay } => {
-            let imm32 = lane.take_imm(imm);
-            let t = pc.wrapping_add(imm32);
-            let is_taken = cond.eval(lane.reg(ra));
-            cycles = if is_taken { d.lat_taken } else { d.lat_not_taken };
-            taken = Some(is_taken);
-            if is_taken {
-                target = Some(t);
-                next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
-            }
-        }
-        Insn::Rtsd { ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let t = lane.reg(ra).wrapping_add(imm32);
-            cycles = d.lat_taken;
-            taken = Some(true);
-            target = Some(t);
-            next = Next::JumpAfterDelay(t);
-        }
-        Insn::Load { size, rd, ra, rb } => {
-            let addr = lane.reg(ra).wrapping_add(lane.reg(rb));
-            let (v, wait) = lane.lane_load(pc, addr, size)?;
-            lane.set_reg(rd, v);
-            lane.clear_imm_prefix();
-            cycles += wait;
-            ea = Some(addr);
-        }
-        Insn::Loadi { size, rd, ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let addr = lane.reg(ra).wrapping_add(imm32);
-            let (v, wait) = lane.lane_load(pc, addr, size)?;
-            lane.set_reg(rd, v);
-            cycles += wait;
-            ea = Some(addr);
-        }
-        Insn::Store { size, rd, ra, rb } => {
-            let addr = lane.reg(ra).wrapping_add(lane.reg(rb));
-            let wait = lane.lane_store(pc, addr, lane.reg(rd), size)?;
-            lane.clear_imm_prefix();
-            cycles += wait;
-            ea = Some(addr);
-        }
-        Insn::Storei { size, rd, ra, imm } => {
-            let imm32 = lane.take_imm(imm);
-            let addr = lane.reg(ra).wrapping_add(imm32);
-            let wait = lane.lane_store(pc, addr, lane.reg(rd), size)?;
-            cycles += wait;
-            ea = Some(addr);
-        }
-        Insn::Imm { imm } => {
-            lane.set_imm_prefix(imm);
-        }
-    }
-
-    Ok(Exec { next, cycles, taken, target, ea })
+struct Exec {
+    next: Next,
+    cycles: u32,
+    taken: Option<bool>,
+    target: Option<u32>,
+    ea: Option<u32>,
 }
 
 /// A complete MicroBlaze system (Figure 1 of the paper): CPU, separate
@@ -491,9 +160,10 @@ pub struct System {
     dcache: Option<Cache>,
     stats: ExecStats,
     halted: Option<u32>,
-    /// Pre-decoded instruction store (see [`MbConfig::predecode`]).
+    /// Pre-decoded instruction store (every engine but
+    /// [`Engine::Reference`]; see [`MbConfig::engine`]).
     decode: DecodeCache,
-    /// Fused superblock store (see [`MbConfig::blocks`]).
+    /// Fused superblock store ([`Engine::Block`] and [`Engine::Trace`]).
     blocks: BlockStore,
     /// Reusable per-block event buffer (filled only for sinks whose
     /// [`TraceSink::WANTS_EVENTS`] is true).
@@ -522,7 +192,7 @@ impl System {
             stats: ExecStats::new(),
             halted: None,
             decode: DecodeCache::new(),
-            blocks: BlockStore::new(config.traces),
+            blocks: BlockStore::new(config.engine == Engine::Trace),
             block_events: Vec::new(),
             block_eas: Vec::new(),
             config,
@@ -533,24 +203,6 @@ impl System {
     #[must_use]
     pub fn config(&self) -> &MbConfig {
         &self.config
-    }
-
-    /// The execution engine this configuration actually dispatches
-    /// through. This is a pure function of [`MbConfig`] — there is no
-    /// hidden downgrade path: with caches configured, block and trace
-    /// dispatch switch to per-op accounting (cache waits become per-op
-    /// guard checks) instead of silently falling back to stepping.
-    #[must_use]
-    pub fn active_engine(&self) -> Engine {
-        if !self.config.predecode {
-            Engine::Reference
-        } else if !self.config.blocks {
-            Engine::Step
-        } else if !self.config.traces {
-            Engine::Block
-        } else {
-            Engine::Trace
-        }
     }
 
     /// Loads a program into instruction memory and points the PC at its
@@ -630,7 +282,7 @@ impl System {
 
     #[inline]
     fn fetch(&mut self, pc: u32) -> Result<(Predecoded, u32), RunError> {
-        let prepared = if self.config.predecode {
+        let prepared = if self.config.engine != Engine::Reference {
             self.decode.fetch(&self.imem, &self.config.features, pc)?
         } else {
             // Decode-per-fetch reference path (the seed behavior), kept
@@ -676,86 +328,261 @@ impl System {
             Ok(self.dcache.as_mut().map_or(0, |c| c.access(addr)))
         }
     }
-}
-
-impl ExecLane for System {
     #[inline]
-    fn reg(&self, r: mb_isa::Reg) -> u32 {
-        self.cpu.reg(r)
+    fn add_with_carry(&mut self, a: u32, b: u32, cin: u32, keep: bool) -> u32 {
+        let wide = u64::from(a) + u64::from(b) + u64::from(cin);
+        if !keep {
+            self.cpu.set_carry(wide >> 32 != 0);
+        }
+        wide as u32
+    }
+
+    // Single-bit shifts write both `rd` and the carry flag; the helpers
+    // keep the step and block engines on one implementation.
+    #[inline]
+    fn shift_sra(&mut self, rd: mb_isa::Reg, ra: mb_isa::Reg) {
+        let a = self.cpu.reg(ra);
+        self.cpu.set_carry(a & 1 != 0);
+        self.cpu.set_reg(rd, ((a as i32) >> 1) as u32);
     }
 
     #[inline]
-    fn set_reg(&mut self, r: mb_isa::Reg, v: u32) {
-        self.cpu.set_reg(r, v);
+    fn shift_src(&mut self, rd: mb_isa::Reg, ra: mb_isa::Reg, carry_in: u32) {
+        let a = self.cpu.reg(ra);
+        let v = (carry_in << 31) | (a >> 1);
+        self.cpu.set_carry(a & 1 != 0);
+        self.cpu.set_reg(rd, v);
     }
 
     #[inline]
-    fn carry(&self) -> bool {
-        self.cpu.carry()
+    fn shift_srl(&mut self, rd: mb_isa::Reg, ra: mb_isa::Reg) {
+        let a = self.cpu.reg(ra);
+        self.cpu.set_carry(a & 1 != 0);
+        self.cpu.set_reg(rd, a >> 1);
     }
 
+    /// Executes one prepared instruction (no delay-slot handling)
+    /// against this system's CPU, dmem, dcache, and OPB — the step
+    /// engine's interpreter and the reference semantics every block op
+    /// mirrors.
     #[inline]
-    fn set_carry(&mut self, c: bool) {
-        self.cpu.set_carry(c);
-    }
+    fn exec_insn(&mut self, pc: u32, d: &Predecoded) -> Result<Exec, RunError> {
+        if !d.supported {
+            return Err(RunError::UnsupportedInsn { pc });
+        }
+        let cpu_carry = u32::from(self.cpu.carry());
+        let mut cycles = d.lat_not_taken;
+        let mut next = Next::Seq;
+        let mut taken = None;
+        let mut target = None;
+        let mut ea = None;
 
-    #[inline]
-    fn set_imm_prefix(&mut self, hi: i16) {
-        self.cpu.set_imm_prefix(hi);
-    }
+        match d.insn {
+            Insn::Add { rd, ra, rb, keep_carry, use_carry } => {
+                let cin = if use_carry { cpu_carry } else { 0 };
+                let v = self.add_with_carry(self.cpu.reg(ra), self.cpu.reg(rb), cin, keep_carry);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Rsub { rd, ra, rb, keep_carry, use_carry } => {
+                let cin = if use_carry { cpu_carry } else { 1 };
+                let v = self.add_with_carry(!self.cpu.reg(ra), self.cpu.reg(rb), cin, keep_carry);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Addi { rd, ra, imm, keep_carry, use_carry } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let cin = if use_carry { cpu_carry } else { 0 };
+                let v = self.add_with_carry(self.cpu.reg(ra), imm32, cin, keep_carry);
+                self.cpu.set_reg(rd, v);
+            }
+            Insn::Rsubi { rd, ra, imm, keep_carry, use_carry } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let cin = if use_carry { cpu_carry } else { 1 };
+                let v = self.add_with_carry(!self.cpu.reg(ra), imm32, cin, keep_carry);
+                self.cpu.set_reg(rd, v);
+            }
+            Insn::Cmp { rd, ra, rb, unsigned } => {
+                let v = compare(self.cpu.reg(ra), self.cpu.reg(rb), unsigned);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Mul { rd, ra, rb } => {
+                let v = self.cpu.reg(ra).wrapping_mul(self.cpu.reg(rb));
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Muli { rd, ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let v = self.cpu.reg(ra).wrapping_mul(imm32);
+                self.cpu.set_reg(rd, v);
+            }
+            Insn::Idiv { rd, ra, rb, unsigned } => {
+                // MicroBlaze: rd = rb ÷ ra.
+                let v = divide(self.cpu.reg(ra), self.cpu.reg(rb), unsigned);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Bs { rd, ra, rb, kind } => {
+                let v = kind.apply(self.cpu.reg(ra), self.cpu.reg(rb));
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Bsi { rd, ra, amount, kind } => {
+                let v = kind.apply(self.cpu.reg(ra), u32::from(amount));
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Or { rd, ra, rb } => {
+                let v = self.cpu.reg(ra) | self.cpu.reg(rb);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::And { rd, ra, rb } => {
+                let v = self.cpu.reg(ra) & self.cpu.reg(rb);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Xor { rd, ra, rb } => {
+                let v = self.cpu.reg(ra) ^ self.cpu.reg(rb);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Andn { rd, ra, rb } => {
+                let v = self.cpu.reg(ra) & !self.cpu.reg(rb);
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Ori { rd, ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let v = self.cpu.reg(ra) | imm32;
+                self.cpu.set_reg(rd, v);
+            }
+            Insn::Andi { rd, ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let v = self.cpu.reg(ra) & imm32;
+                self.cpu.set_reg(rd, v);
+            }
+            Insn::Xori { rd, ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let v = self.cpu.reg(ra) ^ imm32;
+                self.cpu.set_reg(rd, v);
+            }
+            Insn::Andni { rd, ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let v = self.cpu.reg(ra) & !imm32;
+                self.cpu.set_reg(rd, v);
+            }
+            Insn::Sra { rd, ra } => {
+                self.shift_sra(rd, ra);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Src { rd, ra } => {
+                self.shift_src(rd, ra, cpu_carry);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Srl { rd, ra } => {
+                self.shift_srl(rd, ra);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Sext8 { rd, ra } => {
+                let v = self.cpu.reg(ra) as u8 as i8 as i32 as u32;
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Sext16 { rd, ra } => {
+                let v = self.cpu.reg(ra) as u16 as i16 as i32 as u32;
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+            }
+            Insn::Br { rd, rb, link, absolute, delay } => {
+                let t = if absolute { self.cpu.reg(rb) } else { pc.wrapping_add(self.cpu.reg(rb)) };
+                if link {
+                    self.cpu.set_reg(rd, pc);
+                }
+                self.cpu.clear_imm_prefix();
+                cycles = d.lat_taken;
+                taken = Some(true);
+                target = Some(t);
+                next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
+            }
+            Insn::Bri { rd, imm, link, absolute, delay } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let t = if absolute { imm32 } else { pc.wrapping_add(imm32) };
+                if link {
+                    self.cpu.set_reg(rd, pc);
+                }
+                cycles = d.lat_taken;
+                taken = Some(true);
+                target = Some(t);
+                next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
+            }
+            Insn::Bc { cond, ra, rb, delay } => {
+                let t = pc.wrapping_add(self.cpu.reg(rb));
+                let is_taken = cond.eval(self.cpu.reg(ra));
+                self.cpu.clear_imm_prefix();
+                cycles = if is_taken { d.lat_taken } else { d.lat_not_taken };
+                taken = Some(is_taken);
+                if is_taken {
+                    target = Some(t);
+                    next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
+                }
+            }
+            Insn::Bci { cond, ra, imm, delay } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let t = pc.wrapping_add(imm32);
+                let is_taken = cond.eval(self.cpu.reg(ra));
+                cycles = if is_taken { d.lat_taken } else { d.lat_not_taken };
+                taken = Some(is_taken);
+                if is_taken {
+                    target = Some(t);
+                    next = if delay { Next::JumpAfterDelay(t) } else { Next::Jump(t) };
+                }
+            }
+            Insn::Rtsd { ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let t = self.cpu.reg(ra).wrapping_add(imm32);
+                cycles = d.lat_taken;
+                taken = Some(true);
+                target = Some(t);
+                next = Next::JumpAfterDelay(t);
+            }
+            Insn::Load { size, rd, ra, rb } => {
+                let addr = self.cpu.reg(ra).wrapping_add(self.cpu.reg(rb));
+                let (v, wait) = self.data_load(pc, addr, size)?;
+                self.cpu.set_reg(rd, v);
+                self.cpu.clear_imm_prefix();
+                cycles += wait;
+                ea = Some(addr);
+            }
+            Insn::Loadi { size, rd, ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let addr = self.cpu.reg(ra).wrapping_add(imm32);
+                let (v, wait) = self.data_load(pc, addr, size)?;
+                self.cpu.set_reg(rd, v);
+                cycles += wait;
+                ea = Some(addr);
+            }
+            Insn::Store { size, rd, ra, rb } => {
+                let addr = self.cpu.reg(ra).wrapping_add(self.cpu.reg(rb));
+                let wait = self.data_store(pc, addr, self.cpu.reg(rd), size)?;
+                self.cpu.clear_imm_prefix();
+                cycles += wait;
+                ea = Some(addr);
+            }
+            Insn::Storei { size, rd, ra, imm } => {
+                let imm32 = self.cpu.take_imm(imm);
+                let addr = self.cpu.reg(ra).wrapping_add(imm32);
+                let wait = self.data_store(pc, addr, self.cpu.reg(rd), size)?;
+                cycles += wait;
+                ea = Some(addr);
+            }
+            Insn::Imm { imm } => {
+                self.cpu.set_imm_prefix(imm);
+            }
+        }
 
-    #[inline]
-    fn take_imm(&mut self, imm: i16) -> u32 {
-        self.cpu.take_imm(imm)
-    }
-
-    #[inline]
-    fn clear_imm_prefix(&mut self) {
-        self.cpu.clear_imm_prefix();
-    }
-
-    #[inline]
-    fn lane_load(&mut self, pc: u32, addr: u32, size: MemSize) -> Result<(u32, u32), RunError> {
-        self.data_load(pc, addr, size)
-    }
-
-    #[inline]
-    fn lane_store(
-        &mut self,
-        pc: u32,
-        addr: u32,
-        value: u32,
-        size: MemSize,
-    ) -> Result<u32, RunError> {
-        self.data_store(pc, addr, value, size)
-    }
-}
-
-impl System {
-    /// Executes one prepared instruction (no delay-slot handling) —
-    /// the [`exec_insn`] interpreter monomorphized over this system's
-    /// own CPU, dmem, dcache, and OPB.
-    #[inline]
-    fn execute(&mut self, pc: u32, d: &Predecoded) -> Result<Exec, RunError> {
-        exec_insn(self, pc, d)
-    }
-
-    /// Fetches the predecoded instruction at `pc` for a lane engine
-    /// sharing this system's decode store. Lane groups reject cache
-    /// configurations, so the icache wait the scalar path would add is
-    /// structurally zero here.
-    #[inline]
-    pub(crate) fn fetch_shared(&mut self, pc: u32) -> Result<Predecoded, RunError> {
-        debug_assert!(self.icache.is_none(), "lane fetch bypasses icache accounting");
-        self.fetch(pc).map(|(d, _)| d)
-    }
-
-    /// Records that `pc` turned out to touch the OPB window so rebuilt
-    /// blocks split before it — the lane engine's access to the same
-    /// learning the block engine does at its OPB early-out.
-    #[inline]
-    pub(crate) fn learn_opb(&mut self, pc: u32) {
-        self.blocks.learn_opb(pc);
+        Ok(Exec { next, cycles, taken, target, ea })
     }
 
     #[inline]
@@ -797,7 +624,7 @@ impl System {
     pub fn step<S: TraceSink>(&mut self, sink: &mut S) -> Result<u32, RunError> {
         let pc = self.cpu.pc();
         let (d, fetch_wait) = self.fetch(pc)?;
-        let mut exec = self.execute(pc, &d)?;
+        let mut exec = self.exec_insn(pc, &d)?;
         exec.cycles += fetch_wait;
         self.record(pc, &d, &exec, sink);
         let mut total = exec.cycles;
@@ -814,7 +641,7 @@ impl System {
                 if dd.control_flow {
                     return Err(RunError::BranchInDelaySlot { pc: dpc });
                 }
-                let mut dexec = self.execute(dpc, &dd)?;
+                let mut dexec = self.exec_insn(dpc, &dd)?;
                 dexec.cycles += dwait;
                 self.record(dpc, &dd, &dexec, sink);
                 total += dexec.cycles;
@@ -824,20 +651,19 @@ impl System {
         }
 
         // The reference loop keeps the seed's per-instruction poll.
-        if (touched_opb || !self.config.predecode) && self.halted.is_none() {
+        if (touched_opb || self.config.engine == Engine::Reference) && self.halted.is_none() {
             self.halted = self.opb.exit_request();
         }
         Ok(total)
     }
 
-    /// Whether this configuration dispatches fused superblocks: the
-    /// block engine rides on the predecoded store, so predecode must be
-    /// on. Caches no longer disable it — with caches configured the
-    /// dispatch loop switches to op-at-a-time *careful* retirement
+    /// Whether this configuration dispatches fused superblocks. Caches
+    /// do not disable it — with caches configured the dispatch loop
+    /// switches to op-at-a-time *careful* retirement
     /// ([`System::exec_block_careful`]), which charges state-dependent
     /// waits per op instead of silently downgrading to stepping.
-    pub(crate) fn blocks_enabled(&self) -> bool {
-        self.config.blocks && self.config.predecode
+    fn blocks_enabled(&self) -> bool {
+        matches!(self.config.engine, Engine::Block | Engine::Trace)
     }
 
     /// Looks up (building lazily) the fused block entered at `pc`.
@@ -847,7 +673,7 @@ impl System {
     }
 
     /// Executes one lowered block op at `pc`, returning its actual
-    /// cycles and effective address. Mirrors [`System::execute`] exactly
+    /// cycles and effective address. Mirrors [`System::exec_insn`] exactly
     /// — with `imm`-prefix traffic already resolved statically by the
     /// block lowerer, so no prefix state is touched mid-block.
     ///
@@ -1273,8 +1099,12 @@ impl System {
     /// engine's), checks the remaining budget at the same boundaries the
     /// step engine would, and records statistics and events
     /// individually. A chained guard retires the same way when the
-    /// budget still has room. Never sets the dispatch loop's stepping
-    /// tail — a mid-block budget expiry returns at the exact
+    /// budget still has room, and when it loops back to the block's own
+    /// head the next iteration runs in place — the trace tier, exactly
+    /// as in [`System::exec_block`], and attributed the same way: the
+    /// first body and guard to the superblock tier, every later
+    /// iteration to the trace tier. Never sets the dispatch loop's
+    /// stepping tail — a mid-block budget expiry returns at the exact
     /// architectural boundary directly.
     fn exec_block_careful<S: TraceSink>(
         &mut self,
@@ -1283,76 +1113,98 @@ impl System {
         sink: &mut S,
     ) -> Result<u64, RunError> {
         debug_assert!(!self.cpu.has_imm_prefix(), "blocks are lowered for prefix-free entry");
+        let loops_to_head = b.guard.as_ref().is_some_and(|g| g.target == b.head);
         let mut total = 0u64;
-        let mut pc = b.head;
+        let mut first = true;
 
-        for (i, op) in b.ops.iter().enumerate() {
-            if total >= budget {
-                // The step engine stops at this very boundary — and if
-                // the op just retired was a fused `imm`, it would still
-                // hold the architectural prefix here.
-                if let Some(prev) = i.checked_sub(1).map(|p| &b.ops[p]) {
-                    if let Effect::ImmFused { hi } = prev.effect {
-                        self.cpu.set_imm_prefix(hi);
-                    }
-                }
-                self.cpu.set_pc(pc);
-                return Ok(total);
-            }
-            let fetch_wait = self.icache.as_mut().map_or(0, |c| c.access(pc));
-            match self.exec_effect(pc, op) {
-                Err(err) => {
-                    if matches!(op.effect, Effect::Load { .. } | Effect::Store { .. }) {
-                        if let Some(prev) = i.checked_sub(1).map(|p| &b.ops[p]) {
-                            if let Effect::ImmFused { hi } = prev.effect {
-                                self.cpu.set_imm_prefix(hi);
-                            }
+        loop {
+            let mut pc = b.head;
+            for (i, op) in b.ops.iter().enumerate() {
+                if total >= budget {
+                    // The step engine stops at this very boundary — and
+                    // if the op just retired was a fused `imm`, it would
+                    // still hold the architectural prefix here.
+                    if let Some(prev) = i.checked_sub(1).map(|p| &b.ops[p]) {
+                        if let Effect::ImmFused { hi } = prev.effect {
+                            self.cpu.set_imm_prefix(hi);
                         }
                     }
                     self.cpu.set_pc(pc);
-                    return Err(err);
+                    return Ok(total);
                 }
-                Ok((cycles, ea)) => {
-                    let cycles = cycles + fetch_wait;
-                    total += u64::from(cycles);
-                    self.stats.record(op.class, cycles);
-                    self.stats.attribute_block(1);
-                    sink.record(&TraceEvent {
-                        pc,
-                        insn: op.insn,
-                        cycles,
-                        taken: None,
-                        target: None,
-                        ea,
-                    });
-                    pc = pc.wrapping_add(4);
-                    if ea.is_some_and(|a| a >= OPB_BASE) {
-                        self.cpu.set_pc(pc);
-                        self.blocks.learn_opb(pc.wrapping_sub(4));
-                        if self.halted.is_none() {
-                            self.halted = self.opb.exit_request();
+                let fetch_wait = self.icache.as_mut().map_or(0, |c| c.access(pc));
+                match self.exec_effect(pc, op) {
+                    Err(err) => {
+                        if matches!(op.effect, Effect::Load { .. } | Effect::Store { .. }) {
+                            if let Some(prev) = i.checked_sub(1).map(|p| &b.ops[p]) {
+                                if let Effect::ImmFused { hi } = prev.effect {
+                                    self.cpu.set_imm_prefix(hi);
+                                }
+                            }
                         }
-                        return Ok(total);
+                        self.cpu.set_pc(pc);
+                        return Err(err);
+                    }
+                    Ok((cycles, ea)) => {
+                        let cycles = cycles + fetch_wait;
+                        total += u64::from(cycles);
+                        self.stats.record(op.class, cycles);
+                        self.attribute_careful(first);
+                        sink.record(&TraceEvent {
+                            pc,
+                            insn: op.insn,
+                            cycles,
+                            taken: None,
+                            target: None,
+                            ea,
+                        });
+                        pc = pc.wrapping_add(4);
+                        if ea.is_some_and(|a| a >= OPB_BASE) {
+                            self.cpu.set_pc(pc);
+                            self.blocks.learn_opb(pc.wrapping_sub(4));
+                            if self.halted.is_none() {
+                                self.halted = self.opb.exit_request();
+                            }
+                            return Ok(total);
+                        }
                     }
                 }
             }
-        }
 
-        self.cpu.set_pc(pc);
-        if let Some(g) = &b.guard {
-            if total < budget {
-                let fetch_wait = self.icache.as_mut().map_or(0, |c| c.access(pc));
-                let (taken, gcycles) = self.retire_guard(g, pc, fetch_wait, sink);
-                self.stats.record_guards(g.class, u64::from(gcycles), 1, u64::from(taken));
-                self.stats.attribute_block(1);
-                total += u64::from(gcycles);
-            } else if let Some(Effect::ImmFused { hi }) = b.ops.last().map(|o| o.effect) {
+            self.cpu.set_pc(pc);
+            let Some(g) = &b.guard else {
+                return Ok(total);
+            };
+            if total >= budget {
                 // Stopping just before the guard: a trailing fused
                 // `imm`'s prefix is still architecturally pending.
-                self.cpu.set_imm_prefix(hi);
+                if let Some(Effect::ImmFused { hi }) = b.ops.last().map(|o| o.effect) {
+                    self.cpu.set_imm_prefix(hi);
+                }
+                return Ok(total);
             }
+            let fetch_wait = self.icache.as_mut().map_or(0, |c| c.access(pc));
+            let (taken, gcycles) = self.retire_guard(g, pc, fetch_wait, sink);
+            self.stats.record_guards(g.class, u64::from(gcycles), 1, u64::from(taken));
+            self.attribute_careful(first);
+            total += u64::from(gcycles);
+            if !(taken && loops_to_head) {
+                return Ok(total);
+            }
+            first = false;
         }
-        Ok(total)
+    }
+
+    /// Attributes one carefully retired instruction to the superblock
+    /// tier (a dispatch's first iteration) or the trace tier (an
+    /// iteration chained in place past it).
+    #[inline]
+    fn attribute_careful(&mut self, first: bool) {
+        if first {
+            self.stats.attribute_block(1);
+        } else {
+            self.stats.attribute_trace(1);
+        }
     }
 
     /// The one budget-tracking loop behind [`System::run_with_sink`] and
@@ -1362,9 +1214,9 @@ impl System {
     /// step or block retirement returns exactly the cycles it recorded —
     /// so the loop touches no statistics until it stops.
     ///
-    /// With the superblock engine on (see [`MbConfig::blocks`]) the loop
-    /// retires a whole fused block — iterated in place while its loop
-    /// guard holds, see [`MbConfig::traces`] — per iteration whenever
+    /// On [`Engine::Block`] and [`Engine::Trace`] the loop retires a
+    /// whole fused block — iterated in place while its loop guard holds
+    /// on [`Engine::Trace`] — per iteration whenever
     /// one exists at the PC, the CPU holds no pending `imm` prefix, and
     /// the block's precomputed cost fits the remaining budget; otherwise
     /// it falls back to [`System::step`]. Because every interior
@@ -1380,7 +1232,7 @@ impl System {
     /// bound, not the truth, so dispatch goes through
     /// [`System::exec_block_careful`]: per-op budget checks and cache
     /// waits, no fit precheck, no stepping tail — but never a silent
-    /// downgrade to [`System::step`] (see [`System::active_engine`]).
+    /// downgrade to [`System::step`].
     ///
     /// Ordering contract: the exit check runs **before** the budget
     /// check. The exit port is polled after OPB-touching retirements
@@ -1454,7 +1306,7 @@ impl System {
             if self.imem.read_word(pc).is_ok_and(|w| w == 0) {
                 continue;
             }
-            if self.config.predecode {
+            if self.config.engine != Engine::Reference {
                 let System { decode, imem, config, .. } = self;
                 let _ = decode.fetch(imem, &config.features, pc);
             }

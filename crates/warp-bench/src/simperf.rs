@@ -6,34 +6,26 @@
 //! for six run modes of the same simulation:
 //!
 //! * `reference_decode_per_fetch` — the seed loop: decode on every
-//!   fetch ([`MbConfig::predecode`] off), no tracing;
+//!   fetch ([`Engine::Reference`]), no tracing;
 //! * `predecoded` — the PR 3 fast path: pre-decoded fetch, stepping one
-//!   instruction per dispatch ([`MbConfig::with_blocks`]`(false)`),
-//!   [`NullSink`];
+//!   instruction per dispatch ([`Engine::Step`]), [`NullSink`];
 //! * `block` — the PR 5 superblock engine: fused straight-line blocks
-//!   retired one per dispatch ([`MbConfig::with_traces`]`(false)`),
-//!   [`NullSink`];
-//! * `trace` — the megablock trace engine (the default configuration):
-//!   loop bodies chained across their backward guard and iterated
-//!   inside one dispatch, [`NullSink`];
+//!   retired one per dispatch ([`Engine::Block`]), [`NullSink`];
+//! * `trace` — the megablock trace engine (the default configuration,
+//!   [`Engine::Trace`]): loop bodies chained across their backward guard
+//!   and iterated inside one dispatch, [`NullSink`];
 //! * `summary` — trace engine streaming a [`TraceSummary`] through the
 //!   batched `retire_block` hook;
 //! * `full_trace` — trace engine recording the complete event vector.
 //!
-//! A seventh measurement covers the lockstep lane engine: one
-//! [`LaneGroup`] executing [`LOCKSTEP_LANES`] seeded instances of each
-//! workload against the same instances run sequentially on the trace
-//! engine, with per-lane outcomes asserted bit-identical before any
-//! number is published.
-//!
-//! Every mode asserts [`System::active_engine`] before timing — the
-//! engine measured is the engine claimed, never a silent downgrade.
-//! Simulated cycle/instruction counts are identical across all six
-//! modes (asserted here, locked in by `tests/sim_fast_path.rs`); only
-//! host speed differs. [`SimPerf::to_json`] emits the `BENCH_sim.json`
-//! document (schema `warp-mb/bench-sim/v6`) CI validates and archives
-//! per PR; the schema is documented in the README's "Performance"
-//! section.
+//! Each mode's configuration and its recorded engine label come from
+//! the same [`Engine`] value, so the engine measured is the engine
+//! claimed. Simulated cycle/instruction counts are identical across all
+//! six modes (asserted here, locked in by `tests/sim_fast_path.rs`);
+//! only host speed differs. [`SimPerf::to_json`] emits the
+//! `BENCH_sim.json` document (schema `warp-mb/bench-sim/v7`) CI
+//! validates and archives per PR; the schema is documented in the
+//! README's "Performance" section.
 //!
 //! v5 added per-workload **engine coverage**: the fraction of retired
 //! instructions the trace-config run attributed to each execution tier
@@ -48,23 +40,18 @@
 //! [`FLOOR_WAIVERS`] are known floor-limited — their diagnosis rides in
 //! the document and the harness binary no longer warns about them;
 //! only *new* below-floor entrants reach stderr.
+//!
+//! v7 drops the `lockstep` block together with the lane engine it
+//! measured.
 
 use mb_isa::{MbFeatures, OpClass};
-use mb_sim::{
-    Engine, LaneGroup, MbConfig, NullSink, Outcome, StopReason, System, Trace, TraceSummary,
-    LOCKSTEP_ENGINE,
-};
+use mb_sim::{Engine, MbConfig, NullSink, Outcome, StopReason, Trace, TraceSummary};
 use workloads::BuiltWorkload;
 
 use crate::measure::best_of_seconds_with;
 
 /// Cycle budget per measured run (matches the warp flow's default).
 const MAX_CYCLES: u64 = 500_000_000;
-
-/// Lanes in the lockstep measurement: eight seeded instances of each
-/// workload executed by one [`LaneGroup`] against the same eight run
-/// sequentially on the trace engine.
-pub const LOCKSTEP_LANES: usize = 8;
 
 /// Per-workload advisory floor for `trace_speedup_vs_block`: workloads
 /// below it are listed in the JSON `below_floor` array. (The
@@ -181,87 +168,6 @@ impl WorkloadPerf {
     }
 }
 
-/// One workload's lockstep-vs-sequential measurement.
-#[derive(Clone, Debug)]
-pub struct LockstepWorkloadPerf {
-    /// Benchmark name.
-    pub name: String,
-    /// Instructions retired across all lanes (identical in both modes).
-    pub instructions: u64,
-    /// One [`LaneGroup`] running [`LOCKSTEP_LANES`] seeded instances.
-    pub lockstep: ModePerf,
-    /// The same seeded instances run one after another on the trace
-    /// engine.
-    pub sequential: ModePerf,
-}
-
-impl LockstepWorkloadPerf {
-    /// Host speedup of the lane group over the sequential runs.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.sequential.seconds / self.lockstep.seconds
-    }
-}
-
-/// The lockstep lane engine's suite measurement.
-#[derive(Clone, Debug)]
-pub struct LockstepPerf {
-    /// Lanes per group ([`LOCKSTEP_LANES`]).
-    pub lanes: usize,
-    /// Per-workload results in suite order.
-    pub workloads: Vec<LockstepWorkloadPerf>,
-}
-
-impl LockstepPerf {
-    /// Renders the human-readable lockstep table the binary prints.
-    #[must_use]
-    pub fn render_table(&self) -> String {
-        let mut out = format!(
-            "{:>10} | {:>12} {:>12} {:>12} {:>8}\n",
-            "benchmark", "insns(all)", "seq Mi/s", "lock Mi/s", "laneup"
-        );
-        out.push_str(&"-".repeat(62));
-        out.push('\n');
-        for w in &self.workloads {
-            out.push_str(&format!(
-                "{:>10} | {:>12} {:>12.1} {:>12.1} {:>7.2}x\n",
-                w.name,
-                w.instructions,
-                w.sequential.minsn_per_s,
-                w.lockstep.minsn_per_s,
-                w.speedup(),
-            ));
-        }
-        out.push_str(&format!(
-            "{:>10} | {:>12} {:>12.1} {:>12.1} {:>7.2}x\n",
-            "suite",
-            self.workloads.iter().map(|w| w.instructions).sum::<u64>(),
-            self.aggregate_minsn(|w| w.sequential),
-            self.aggregate_minsn(|w| w.lockstep),
-            self.aggregate_speedup(),
-        ));
-        out
-    }
-
-    /// Suite-level Minsn/s for a mode.
-    #[must_use]
-    pub fn aggregate_minsn(&self, mode: impl Fn(&LockstepWorkloadPerf) -> ModePerf) -> f64 {
-        let insns: f64 = self.workloads.iter().map(|w| w.instructions as f64).sum();
-        let secs: f64 = self.workloads.iter().map(|w| mode(w).seconds).sum();
-        insns / secs.max(1e-9) / 1e6
-    }
-
-    /// Suite-level lockstep speedup over sequential (total seconds over
-    /// total seconds) — the number the `SIMPERF_LANES_FLOOR` CI gate
-    /// watches.
-    #[must_use]
-    pub fn aggregate_speedup(&self) -> f64 {
-        let seq: f64 = self.workloads.iter().map(|w| w.sequential.seconds).sum();
-        let lock: f64 = self.workloads.iter().map(|w| w.lockstep.seconds).sum();
-        seq / lock.max(1e-9)
-    }
-}
-
 /// The whole suite's measurements.
 #[derive(Clone, Debug)]
 pub struct SimPerf {
@@ -271,8 +177,6 @@ pub struct SimPerf {
     pub reps: usize,
     /// Per-workload results in suite order.
     pub workloads: Vec<WorkloadPerf>,
-    /// Lockstep lane-engine measurement over the same suite.
-    pub lockstep: LockstepPerf,
 }
 
 impl SimPerf {
@@ -346,12 +250,11 @@ impl SimPerf {
     }
 
     /// Renders the `BENCH_sim.json` document (schema
-    /// `warp-mb/bench-sim/v6`: v5 — the `lockstep` mode block, the
-    /// `below_floor` outlier list, and the per-workload
-    /// `engine_coverage` fractions — plus a `floor_waiver` diagnosis
-    /// string (or `null`) on every `below_floor` entry, so known
-    /// floor-limited workloads carry their explanation instead of
-    /// re-triggering warnings run after run).
+    /// `warp-mb/bench-sim/v7`: the six modes per workload, the
+    /// per-workload `engine_coverage` fractions, and the `below_floor`
+    /// outlier list with a `floor_waiver` diagnosis string (or `null`)
+    /// on every entry, so known floor-limited workloads carry their
+    /// explanation instead of re-triggering warnings run after run).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mode_json = |m: &ModePerf| {
@@ -361,7 +264,7 @@ impl SimPerf {
             )
         };
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"warp-mb/bench-sim/v6\",\n");
+        out.push_str("  \"schema\": \"warp-mb/bench-sim/v7\",\n");
         out.push_str(&format!("  \"mode\": \"{}\",\n", if self.smoke { "smoke" } else { "full" }));
         out.push_str(&format!("  \"reps\": {},\n", self.reps));
         out.push_str(&format!("  \"mb_clock_hz\": {},\n", mb_sim::MB_CLOCK_HZ));
@@ -408,31 +311,6 @@ impl SimPerf {
                 .collect::<Vec<_>>()
                 .join(", "),
         ));
-        out.push_str(&format!("  \"lockstep\": {{\"lanes\": {},\n", self.lockstep.lanes));
-        out.push_str("    \"workloads\": [\n");
-        for (i, w) in self.lockstep.workloads.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"name\": \"{}\", \"instructions\": {}, \
-                 \"modes\": {{\"lockstep\": {}, \"sequential\": {}}}, \
-                 \"lockstep_speedup_vs_sequential\": {:.3}}}{}\n",
-                w.name,
-                w.instructions,
-                mode_json(&w.lockstep),
-                mode_json(&w.sequential),
-                w.speedup(),
-                if i + 1 == self.lockstep.workloads.len() { "" } else { "," },
-            ));
-        }
-        out.push_str("    ],\n");
-        out.push_str(&format!(
-            "    \"aggregate\": {{\"lockstep_minsn_per_s\": {:.3}, \
-             \"sequential_minsn_per_s\": {:.3}, \
-             \"lockstep_speedup_vs_sequential\": {:.3}}}\n",
-            self.lockstep.aggregate_minsn(|w| w.lockstep),
-            self.lockstep.aggregate_minsn(|w| w.sequential),
-            self.lockstep.aggregate_speedup(),
-        ));
-        out.push_str("  },\n");
         out.push_str(&format!(
             "  \"aggregate\": {{\"trace_minsn_per_s\": {:.3}, \"block_minsn_per_s\": {:.3}, \
              \"predecoded_minsn_per_s\": {:.3}, \
@@ -520,29 +398,24 @@ impl SimPerf {
     }
 }
 
-/// Best-of-`reps` wall-clock for one run mode, checking that the
-/// simulated outcome matches the expected cycle/instruction counts
-/// and that the system dispatches the [`Engine`] the mode claims to
-/// measure — a config drift that silently downgraded the engine would
-/// otherwise publish mislabeled numbers. System construction, the
-/// [`System::prewarm`] of the decode/block stores, and the checks all
-/// happen off the clock — the timed region is the steady-state run
-/// itself, so every mode is measured on the same footing instead of
-/// folding one-time lowering cost into whichever engine runs shortest.
+/// Best-of-`reps` measurement of one run mode on `engine`, checking
+/// that the simulated outcome matches the expected cycle/instruction
+/// counts. The configuration and the recorded engine label are built
+/// from the same `engine`, so a mode cannot publish numbers under
+/// another engine's name. System construction, the
+/// [`System::prewarm`](mb_sim::System::prewarm) of the decode/block
+/// stores, and the checks all happen off the clock — the timed region
+/// is the steady-state run itself, so every mode is measured on the
+/// same footing instead of folding one-time lowering cost into
+/// whichever engine runs shortest.
 fn time_mode(
     built: &BuiltWorkload,
-    config: &MbConfig,
     engine: Engine,
     reps: usize,
     expected: (u64, u64),
     run: impl Fn(&mut mb_sim::System) -> mb_sim::Outcome,
-) -> f64 {
-    assert_eq!(
-        System::new(config.clone()).active_engine(),
-        engine,
-        "{}: mode must measure the engine it claims",
-        built.name
-    );
+) -> ModePerf {
+    let config = &MbConfig::paper_default().with_engine(engine);
     // One workload run is sub-millisecond — too short to time against
     // host frequency drift and interrupt noise — so each timed rep
     // executes a batch of independent runs and reports the per-run
@@ -572,14 +445,14 @@ fn time_mode(
             }
         },
     );
-    best / TIMED_BATCH as f64
+    ModePerf::from_best(best / TIMED_BATCH as f64, expected.1, engine)
 }
 
 /// The seed run loop, reproduced: step by step with the budget checked
 /// by summing the per-class cycle counters every iteration — exactly
 /// what the original `run_inner` did before the grand totals existed.
-/// Combined with `predecode: false` (decode per fetch, per-instruction
-/// exit-port poll) this is the baseline the fast paths are measured
+/// Combined with [`Engine::Reference`] (decode per fetch,
+/// per-instruction exit-port poll) this is the baseline the fast paths are measured
 /// against.
 fn run_seed_style(sys: &mut mb_sim::System) -> Outcome {
     let linear_cycles =
@@ -611,14 +484,10 @@ fn run_seed_style(sys: &mut mb_sim::System) -> Outcome {
 #[must_use]
 pub fn measure_workload(workload: &workloads::Workload, reps: usize) -> WorkloadPerf {
     let built = workload.build(MbFeatures::paper_default());
-    let trace = MbConfig::paper_default();
-    let block = trace.clone().with_traces(false);
-    let predecoded = block.clone().with_blocks(false);
-    let reference = predecoded.clone().with_predecode(false);
 
     // Establish the expected simulated counts once; the same run yields
     // the engine-coverage fractions for the trace configuration.
-    let mut sys = built.instantiate(&trace);
+    let mut sys = built.instantiate(&MbConfig::paper_default().with_engine(Engine::Trace));
     let outcome = sys.run(MAX_CYCLES).expect("workload runs");
     assert!(outcome.exited());
     let expected = (outcome.cycles, outcome.instructions);
@@ -626,150 +495,40 @@ pub fn measure_workload(workload: &workloads::Workload, reps: usize) -> Workload
 
     let run_untraced =
         |sys: &mut mb_sim::System| sys.run_with_sink(MAX_CYCLES, &mut NullSink).unwrap();
-    let t_trace = time_mode(&built, &trace, Engine::Trace, reps, expected, run_untraced);
-    let t_block = time_mode(&built, &block, Engine::Block, reps, expected, run_untraced);
-    let t_predecoded = time_mode(&built, &predecoded, Engine::Step, reps, expected, run_untraced);
-    let t_summary = time_mode(&built, &trace, Engine::Trace, reps, expected, |sys| {
+    let trace = time_mode(&built, Engine::Trace, reps, expected, run_untraced);
+    let block = time_mode(&built, Engine::Block, reps, expected, run_untraced);
+    let predecoded = time_mode(&built, Engine::Step, reps, expected, run_untraced);
+    let summary = time_mode(&built, Engine::Trace, reps, expected, |sys| {
         let mut summary = TraceSummary::new();
         sys.run_with_sink(MAX_CYCLES, &mut summary).unwrap()
     });
-    let t_full = time_mode(&built, &trace, Engine::Trace, reps, expected, |sys| {
+    let full_trace = time_mode(&built, Engine::Trace, reps, expected, |sys| {
         let mut trace = Trace::new();
         sys.run_with_sink(MAX_CYCLES, &mut trace).unwrap()
     });
-    let t_ref = time_mode(&built, &reference, Engine::Reference, reps, expected, run_seed_style);
+    let reference = time_mode(&built, Engine::Reference, reps, expected, run_seed_style);
 
     WorkloadPerf {
         name: built.name.clone(),
         instructions: expected.1,
         mb_cycles: expected.0,
-        reference: ModePerf::from_best(t_ref, expected.1, Engine::Reference),
-        predecoded: ModePerf::from_best(t_predecoded, expected.1, Engine::Step),
-        block: ModePerf::from_best(t_block, expected.1, Engine::Block),
-        trace: ModePerf::from_best(t_trace, expected.1, Engine::Trace),
-        summary: ModePerf::from_best(t_summary, expected.1, Engine::Trace),
-        full_trace: ModePerf::from_best(t_full, expected.1, Engine::Trace),
+        reference,
+        predecoded,
+        block,
+        trace,
+        summary,
+        full_trace,
         step_fraction,
         block_fraction,
         trace_fraction,
     }
 }
 
-/// Measures one workload's lockstep-vs-sequential throughput: one
-/// [`LaneGroup`] executing [`LOCKSTEP_LANES`] seeded instances of the
-/// program against the same builds run one after another on the trace
-/// engine. Both sides assert bit-identical per-lane [`Outcome`]s against
-/// an untimed reference pass (which also verifies the seeded golden
-/// results), so the published speedup compares equal work.
-#[must_use]
-pub fn measure_lockstep(workload: &workloads::Workload, reps: usize) -> LockstepWorkloadPerf {
-    const SEED_BASE: u64 = 0x10C4_57E9;
-    let config = MbConfig::paper_default();
-    let builds: [BuiltWorkload; LOCKSTEP_LANES] = core::array::from_fn(|lane| {
-        workload.build_seeded(MbFeatures::paper_default(), SEED_BASE + lane as u64)
-    });
-
-    let expected: Vec<Outcome> = builds
-        .iter()
-        .map(|b| {
-            let mut sys = b.instantiate(&config);
-            let out = sys.run(MAX_CYCLES).expect("workload runs");
-            assert!(out.exited(), "{}: seeded run must exit", workload.name);
-            b.verify(sys.dmem()).expect("seeded golden results hold");
-            out
-        })
-        .collect();
-    let instructions: u64 = expected.iter().map(|o| o.instructions).sum();
-
-    // Same batching rationale as `time_mode`: amortize timer noise over
-    // a batch of independent runs built and checked off the clock.
-    const TIMED_BATCH: usize = 4;
-    let t_lock = best_of_seconds_with(
-        reps,
-        || {
-            (0..TIMED_BATCH)
-                .map(|_| {
-                    let mut group: LaneGroup<LOCKSTEP_LANES> =
-                        workloads::instantiate_lanes(&builds, &config);
-                    group.prewarm();
-                    group
-                })
-                .collect::<Vec<_>>()
-        },
-        |groups| groups.into_iter().map(|mut g| g.run(MAX_CYCLES)).collect::<Vec<_>>(),
-        |batches| {
-            for results in batches {
-                for (lane, r) in results.iter().enumerate() {
-                    let out = r.as_ref().expect("lane runs");
-                    assert_eq!(
-                        out, &expected[lane],
-                        "{}: lockstep lane {lane} must match its sequential run",
-                        workload.name
-                    );
-                }
-            }
-        },
-    ) / TIMED_BATCH as f64;
-
-    let t_seq = best_of_seconds_with(
-        reps,
-        || {
-            (0..TIMED_BATCH)
-                .map(|_| {
-                    builds
-                        .iter()
-                        .map(|b| {
-                            let mut sys = b.instantiate(&config);
-                            sys.prewarm();
-                            sys
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-        },
-        |batch| {
-            batch
-                .into_iter()
-                .map(|systems| {
-                    systems
-                        .into_iter()
-                        .map(|mut sys| sys.run_with_sink(MAX_CYCLES, &mut NullSink).unwrap())
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-        },
-        |batches| {
-            for outcomes in batches {
-                for (lane, out) in outcomes.iter().enumerate() {
-                    assert_eq!(out, &expected[lane], "{}: sequential lane {lane}", workload.name);
-                }
-            }
-        },
-    ) / TIMED_BATCH as f64;
-
-    let lock_seconds = t_lock.max(1e-9);
-    LockstepWorkloadPerf {
-        name: workload.name.into(),
-        instructions,
-        lockstep: ModePerf {
-            seconds: lock_seconds,
-            minsn_per_s: instructions as f64 / lock_seconds / 1e6,
-            engine: LOCKSTEP_ENGINE,
-        },
-        sequential: ModePerf::from_best(t_seq, instructions, Engine::Trace),
-    }
-}
-
 /// Measures the whole paper suite.
 #[must_use]
 pub fn measure_suite(reps: usize, smoke: bool) -> SimPerf {
-    let suite = workloads::paper_suite();
-    let workloads = suite.iter().map(|w| measure_workload(w, reps)).collect();
-    let lockstep = LockstepPerf {
-        lanes: LOCKSTEP_LANES,
-        workloads: suite.iter().map(|w| measure_lockstep(w, reps)).collect(),
-    };
-    SimPerf { smoke, reps, workloads, lockstep }
+    let workloads = workloads::paper_suite().iter().map(|w| measure_workload(w, reps)).collect();
+    SimPerf { smoke, reps, workloads }
 }
 
 #[cfg(test)]
@@ -795,26 +554,13 @@ mod tests {
                 block_fraction: 0.08,
                 trace_fraction: 0.9,
             }],
-            lockstep: LockstepPerf {
-                lanes: LOCKSTEP_LANES,
-                workloads: vec![LockstepWorkloadPerf {
-                    name: "brev".into(),
-                    instructions: 8_000_000,
-                    lockstep: ModePerf {
-                        seconds: 0.05,
-                        minsn_per_s: 8_000_000.0 / 0.05 / 1e6,
-                        engine: LOCKSTEP_ENGINE,
-                    },
-                    sequential: ModePerf::from_best(0.2, 8_000_000, Engine::Trace),
-                }],
-            },
         }
     }
 
     #[test]
     fn json_has_schema_and_balanced_structure() {
         let json = synthetic().to_json();
-        assert!(json.contains("\"schema\": \"warp-mb/bench-sim/v6\""));
+        assert!(json.contains("\"schema\": \"warp-mb/bench-sim/v7\""));
         assert!(json.contains(
             "\"engine_coverage\": {\"step\": 0.0200, \"block\": 0.0800, \"trace\": 0.9000}"
         ));
@@ -828,9 +574,6 @@ mod tests {
         assert!(json.contains("\"engine\": \"reference_decode_per_fetch\""));
         assert!(json.contains("\"trace_minsn_per_s\""));
         assert!(json.contains("\"below_floor\": ["));
-        assert!(json.contains("\"lockstep\": {\"lanes\": 8"));
-        assert!(json.contains("\"engine\": \"lockstep_lanes\""));
-        assert!(json.contains("\"lockstep_speedup_vs_sequential\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert_eq!(json.matches('"').count() % 2, 0, "quotes must pair");
@@ -873,19 +616,6 @@ mod tests {
             assert_eq!(floor_waiver(name), Some(*diagnosis));
         }
         assert_eq!(floor_waiver("matmul"), None);
-    }
-
-    #[test]
-    fn lockstep_speedups_follow_the_seconds() {
-        let p = synthetic();
-        let w = &p.lockstep.workloads[0];
-        assert!((w.speedup() - 4.0).abs() < 1e-9);
-        assert!((p.lockstep.aggregate_speedup() - 4.0).abs() < 1e-9);
-        assert!((p.lockstep.aggregate_minsn(|w| w.lockstep) - 160.0).abs() < 1e-6);
-        assert!((p.lockstep.aggregate_minsn(|w| w.sequential) - 40.0).abs() < 1e-6);
-        let table = p.lockstep.render_table();
-        assert!(table.contains("laneup"));
-        assert!(table.contains("suite"));
     }
 
     #[test]

@@ -175,6 +175,7 @@ mod tests {
     use crate::policy::{NeverPolicy, TopKPolicy};
     use crate::session::cad_timeline_cycles;
     use mb_isa::MbFeatures;
+    use mb_sim::Engine;
 
     #[test]
     fn never_policy_is_a_pure_software_timeline() {
@@ -248,7 +249,7 @@ mod tests {
     /// the dirtied traces so the very next head fetch sees the jump to
     /// the invocation stub. A full warped run with traces on therefore
     /// produces the *same* timeline, events, and profiler view as one
-    /// with traces off.
+    /// on the block engine (traces off).
     #[test]
     fn warped_timeline_is_identical_with_and_without_traces() {
         let built = workloads::by_name("brev").unwrap().build(MbFeatures::paper_default());
@@ -259,7 +260,7 @@ mod tests {
                 .unwrap()
         };
         let traced = run(MbConfig::paper_default());
-        let untraced = run(MbConfig::paper_default().with_traces(false));
+        let untraced = run(MbConfig::paper_default().with_engine(Engine::Block));
 
         assert_eq!(traced.cycles, untraced.cycles);
         assert_eq!(traced.instructions, untraced.instructions);

@@ -14,7 +14,7 @@
 //! [`TraceSink::retire_block`]: mb_sim::TraceSink::retire_block
 
 use mb_isa::MbFeatures;
-use mb_sim::{MbConfig, Outcome, System};
+use mb_sim::{Engine, MbConfig, Outcome, System};
 use proptest::prelude::*;
 use warp_profiler::{HotRegion, Profiler, ProfilerConfig};
 
@@ -30,7 +30,7 @@ fn profile_run(sys: &mut System) -> (Outcome, Profiler) {
 #[test]
 fn block_profiling_fingerprints_match_per_instruction_on_all_workloads() {
     let blocks_on = MbConfig::paper_default();
-    let blocks_off = blocks_on.clone().with_blocks(false);
+    let blocks_off = blocks_on.clone().with_engine(Engine::Step);
     for workload in workloads::all() {
         let built = workload.build(MbFeatures::paper_default());
 
@@ -70,7 +70,7 @@ proptest! {
     fn sliced_block_profiling_matches_unsliced(seed in any::<u64>()) {
         let built = workloads::phased::build_scaled(MbFeatures::paper_default(), 3, 2, 2);
         let (_, mut reference) = profile_run(&mut built.instantiate(
-            &MbConfig::paper_default().with_blocks(false),
+            &MbConfig::paper_default().with_engine(Engine::Step),
         ));
 
         let mut sys = built.instantiate(&MbConfig::paper_default());

@@ -1,7 +1,7 @@
 //! Differential coverage of the lowered block ops: every [`Effect`]
 //! variant must execute identically through the block engine's
 //! `exec_effect`, the megablock trace tier above it, and the step
-//! engine's `execute` — over randomized register states and the corner
+//! engine's `exec_insn` — over randomized register states and the corner
 //! cases that bite (`i32::MIN / -1`, divide by zero, carry chains,
 //! trailing `imm` prefixes).
 //!
@@ -98,34 +98,26 @@ fn run_one(
     (out, trace, sys)
 }
 
-/// Runs one body under the trace, block, and step engines across
-/// several seeds and asserts bit-identical results.
+/// Runs one body under the trace and block engines across several
+/// seeds and asserts results bit-identical to the step engine's.
 fn differential(name: &str, body: &[Insn]) {
     let p = program(body);
+    let config = |engine| MbConfig::paper_default().with_features(features()).with_engine(engine);
     for seed in [1u64, 2, 3, 0xDEAD_BEEF, 0x1234_5678_9ABC_DEF0] {
-        let trace_cfg = MbConfig::paper_default().with_features(features());
-        let block_cfg = trace_cfg.clone().with_traces(false);
-        let step_cfg = trace_cfg.clone().with_blocks(false);
-        assert_eq!(System::new(trace_cfg.clone()).active_engine(), Engine::Trace);
-
-        let (out_t, trace_t, sys_t) = run_one(trace_cfg, &p, seed);
-        let (out_b, trace_b, sys_b) = run_one(block_cfg, &p, seed);
-        let (out_s, trace_s, sys_s) = run_one(step_cfg, &p, seed);
-
-        assert_eq!(out_t, out_s, "{name} seed {seed}: trace-engine outcome diverged");
-        assert_eq!(out_b, out_s, "{name} seed {seed}: block-engine outcome diverged");
-        assert_eq!(trace_t, trace_s, "{name} seed {seed}: trace-engine events diverged");
-        assert_eq!(trace_b, trace_s, "{name} seed {seed}: block-engine events diverged");
-        assert_eq!(sys_t.cpu(), sys_s.cpu(), "{name} seed {seed}: trace-engine CPU diverged");
-        assert_eq!(sys_b.cpu(), sys_s.cpu(), "{name} seed {seed}: block-engine CPU diverged");
-        assert_eq!(sys_t.stats(), sys_s.stats(), "{name} seed {seed}: trace-engine stats diverged");
-        assert_eq!(sys_b.stats(), sys_s.stats(), "{name} seed {seed}: block-engine stats diverged");
-        for addr in (0x200..0x240).step_by(4) {
-            assert_eq!(
-                sys_t.dmem().read_word(addr).unwrap(),
-                sys_s.dmem().read_word(addr).unwrap(),
-                "{name} seed {seed}: dmem diverged at {addr:#x}"
-            );
+        let (out_s, trace_s, sys_s) = run_one(config(Engine::Step), &p, seed);
+        for engine in [Engine::Trace, Engine::Block] {
+            let (out, trace, sys) = run_one(config(engine), &p, seed);
+            assert_eq!(out, out_s, "{name} seed {seed}: {engine} outcome diverged");
+            assert_eq!(trace, trace_s, "{name} seed {seed}: {engine} events diverged");
+            assert_eq!(sys.cpu(), sys_s.cpu(), "{name} seed {seed}: {engine} CPU diverged");
+            assert_eq!(sys.stats(), sys_s.stats(), "{name} seed {seed}: {engine} stats diverged");
+            for addr in (0x200..0x240).step_by(4) {
+                assert_eq!(
+                    sys.dmem().read_word(addr).unwrap(),
+                    sys_s.dmem().read_word(addr).unwrap(),
+                    "{name} seed {seed}: {engine} dmem diverged at {addr:#x}"
+                );
+            }
         }
     }
 }
@@ -297,7 +289,7 @@ fn trailing_imm_before_register_branch_stays_architectural() {
         (out, trace, sys)
     };
     let (out_t, trace_t, sys_t) = run(MbConfig::paper_default());
-    let (out_s, trace_s, sys_s) = run(MbConfig::paper_default().with_blocks(false));
+    let (out_s, trace_s, sys_s) = run(MbConfig::paper_default().with_engine(Engine::Step));
     assert_eq!(out_t, out_s);
     assert_eq!(trace_t, trace_s);
     assert_eq!(sys_t.cpu(), sys_s.cpu());
@@ -330,7 +322,7 @@ fn trailing_imm_fused_into_a_loop_guard() {
         (out, trace, sys)
     };
     let (out_t, trace_t, sys_t) = run(MbConfig::paper_default());
-    let (out_s, trace_s, sys_s) = run(MbConfig::paper_default().with_blocks(false));
+    let (out_s, trace_s, sys_s) = run(MbConfig::paper_default().with_engine(Engine::Step));
     assert_eq!(out_t, out_s);
     assert_eq!(trace_t, trace_s);
     assert_eq!(sys_t.cpu(), sys_s.cpu());

@@ -126,9 +126,9 @@ fn orchestrator_patch_replays_the_fast_path_invalidation_contract() {
     // the mid-run hot patch must be invisible to simulated results —
     // identical timeline, identical warp events, identical totals.
     let built = workloads::by_name("brev").unwrap().build(MbFeatures::paper_default());
-    let run = |predecode: bool| {
+    let run = |engine: mb_sim::Engine| {
         let config = OnlineConfig {
-            mb: mb_sim::MbConfig::paper_default().with_predecode(predecode),
+            mb: mb_sim::MbConfig::paper_default().with_engine(engine),
             repeats: 2,
             ..OnlineConfig::default()
         };
@@ -137,8 +137,8 @@ fn orchestrator_patch_replays_the_fast_path_invalidation_contract() {
             .run()
             .unwrap()
     };
-    let fast = run(true);
-    let reference = run(false);
+    let fast = run(mb_sim::Engine::Trace);
+    let reference = run(mb_sim::Engine::Reference);
 
     assert_eq!(fast.cycles, reference.cycles);
     assert_eq!(fast.instructions, reference.instructions);

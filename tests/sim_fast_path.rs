@@ -2,55 +2,49 @@
 //! engine, the trace sinks, and the streaming aggregates must be
 //! invisible to simulated results.
 //!
-//! Five contracts are locked in here:
+//! Five contracts are locked in here, each checked on every [`Engine`]:
 //!
 //! 1. the pre-decoded fetch path produces an instruction-for-instruction
 //!    identical [`Trace`], identical [`ExecStats`], and identical
 //!    [`Outcome`] to the decode-per-fetch reference loop
-//!    (`MbConfig::with_predecode(false)`);
-//! 2. the superblock engine (`MbConfig::with_blocks`) and the megablock
-//!    trace engine above it (`MbConfig::with_traces`, the default)
-//!    match the per-instruction step engine the same way — including
-//!    across mid-run patches, guard-failure side exits, and cycle
-//!    budgets that expire mid-block or mid-trace;
+//!    ([`Engine::Reference`]);
+//! 2. the superblock engine ([`Engine::Block`]) and the megablock trace
+//!    engine above it ([`Engine::Trace`], the default) match the
+//!    per-instruction step engine ([`Engine::Step`]) the same way —
+//!    including across mid-run patches, guard-failure side exits, and
+//!    cycle budgets that expire mid-block or mid-trace;
 //! 3. decode-cache and block-store invalidation: after an imem patch
 //!    through [`System::imem_mut`] — the WCLA binary-patching interface
 //!    — the patched words execute, never stale pre-decoded ones, stale
 //!    fused blocks, or stale chained traces;
 //! 4. a [`TraceSummary`] streamed during the run equals every aggregate
 //!    computed from the full trace;
-//! 5. every configuration dispatches the engine it reports via
-//!    [`System::active_engine`] — in particular, caches no longer
-//!    silently downgrade block dispatch to stepping.
+//! 5. every engine retires on its own tier, as counted by
+//!    [`ExecStats::engine_coverage`] — in particular, caches never
+//!    silently downgrade block or trace dispatch to stepping.
+//!
+//! [`ExecStats`]: mb_sim::ExecStats
+//! [`ExecStats::engine_coverage`]: mb_sim::ExecStats::engine_coverage
+//! [`Outcome`]: mb_sim::Outcome
 
 use mb_isa::{encode, Assembler, Insn, MbFeatures, MemSize, Reg};
 use mb_sim::cache::CacheConfig;
 use mb_sim::{Engine, MbConfig, NullSink, System, Trace, TraceSummary, EXIT_PORT_BASE};
 
-/// Trace engine on (the default configuration).
-fn fast_config() -> MbConfig {
-    MbConfig::paper_default()
+/// Every engine, slowest first. The equality tests run each one against
+/// an oracle engine on identical inputs.
+const ENGINES: [Engine; 4] = [Engine::Reference, Engine::Step, Engine::Block, Engine::Trace];
+
+/// The paper configuration dispatching through `engine`.
+fn config(engine: Engine) -> MbConfig {
+    MbConfig::paper_default().with_engine(engine)
 }
 
-/// Superblocks without loop-trace chaining (the PR 5 block engine).
-fn block_config() -> MbConfig {
-    MbConfig::paper_default().with_traces(false)
-}
-
-/// Pre-decoded fetch but per-instruction stepping (the PR 3 fast path).
-fn step_config() -> MbConfig {
-    MbConfig::paper_default().with_blocks(false)
-}
-
-fn reference_config() -> MbConfig {
-    MbConfig::paper_default().with_predecode(false).with_blocks(false)
-}
-
-/// The trace engine with both caches configured: the configuration that
-/// used to silently downgrade to per-instruction stepping and now
-/// dispatches careful (per-op accounted) blocks.
-fn cached_config(base: MbConfig) -> MbConfig {
-    let mut config = base;
+/// `engine` with both caches configured: block and trace dispatch then
+/// retire op by op with per-op cache waits (careful dispatch) instead of
+/// downgrading to per-instruction stepping.
+fn cached(engine: Engine) -> MbConfig {
+    let mut config = config(engine);
     config.icache = Some(CacheConfig::small());
     config.dcache = Some(CacheConfig::small());
     config
@@ -58,14 +52,27 @@ fn cached_config(base: MbConfig) -> MbConfig {
 
 #[test]
 fn every_config_reports_the_engine_it_dispatches() {
-    assert_eq!(System::new(fast_config()).active_engine(), Engine::Trace);
-    assert_eq!(System::new(block_config()).active_engine(), Engine::Block);
-    assert_eq!(System::new(step_config()).active_engine(), Engine::Step);
-    assert_eq!(System::new(reference_config()).active_engine(), Engine::Reference);
-    // Caches no longer demote the engine: the dispatch switches to
-    // per-op accounting instead (pinned by the cached equality tests).
-    assert_eq!(System::new(cached_config(fast_config())).active_engine(), Engine::Trace);
-    assert_eq!(System::new(cached_config(block_config())).active_engine(), Engine::Block);
+    // What retired, not what was asked for: a loop-heavy workload's
+    // engine-coverage split must show each engine's own tier, with and
+    // without caches.
+    let built = workloads::by_name("brev").unwrap().build(MbFeatures::paper_default());
+    for engine in ENGINES {
+        for mb in [config(engine), cached(engine)] {
+            let caches = mb.icache.is_some();
+            let mut sys = built.instantiate(&mb);
+            assert!(sys.run(500_000_000).unwrap().exited());
+            let (step, block, trace) = sys.stats().engine_coverage();
+            let what =
+                format!("{engine} (caches {caches}): step {step}, block {block}, trace {trace}");
+            match engine {
+                Engine::Reference | Engine::Step => {
+                    assert_eq!((step, block, trace), (1.0, 0.0, 0.0), "{what}");
+                }
+                Engine::Block => assert!(block > 0.0 && trace == 0.0, "{what}"),
+                Engine::Trace => assert!(trace > 0.0, "{what}"),
+            }
+        }
+    }
 }
 
 #[test]
@@ -73,20 +80,21 @@ fn predecoded_fetch_matches_decode_per_fetch_reference() {
     for workload in workloads::all() {
         let built = workload.build(MbFeatures::paper_default());
 
-        let mut fast = built.instantiate(&fast_config());
-        let (fast_out, fast_trace) = fast.run_traced(500_000_000).unwrap();
-
-        let mut reference = built.instantiate(&reference_config());
+        let mut reference = built.instantiate(&config(Engine::Reference));
         let (ref_out, ref_trace) = reference.run_traced(500_000_000).unwrap();
 
-        assert_eq!(fast_out, ref_out, "{}: outcome must be identical", workload.name);
-        assert_eq!(
-            fast_trace, ref_trace,
-            "{}: traces must match instruction-for-instruction",
-            workload.name
-        );
-        assert_eq!(fast.stats(), reference.stats(), "{}: ExecStats must match", workload.name);
-        assert_eq!(fast.cpu(), reference.cpu(), "{}: final CPU state must match", workload.name);
+        for engine in ENGINES {
+            let mut fast = built.instantiate(&config(engine));
+            let (fast_out, fast_trace) = fast.run_traced(500_000_000).unwrap();
+            let name = format!("{} on {engine}", workload.name);
+            assert_eq!(fast_out, ref_out, "{name}: outcome must be identical");
+            assert_eq!(
+                fast_trace, ref_trace,
+                "{name}: traces must match instruction-for-instruction"
+            );
+            assert_eq!(fast.stats(), reference.stats(), "{name}: ExecStats must match");
+            assert_eq!(fast.cpu(), reference.cpu(), "{name}: final CPU state must match");
+        }
     }
 }
 
@@ -96,10 +104,10 @@ fn untraced_run_has_identical_stats_to_traced_run() {
     // simulated outcome and statistics must not notice.
     let built = workloads::by_name("canrdr").unwrap().build(MbFeatures::paper_default());
 
-    let mut untraced = built.instantiate(&fast_config());
+    let mut untraced = built.instantiate(&MbConfig::paper_default());
     let out_untraced = untraced.run(500_000_000).unwrap();
 
-    let mut traced = built.instantiate(&fast_config());
+    let mut traced = built.instantiate(&MbConfig::paper_default());
     let (out_traced, _) = traced.run_traced(500_000_000).unwrap();
 
     assert_eq!(out_untraced, out_traced);
@@ -153,22 +161,17 @@ fn run_patch_scenario(config: &MbConfig) -> System {
 
 #[test]
 fn imem_patch_invalidates_predecoded_store() {
-    // fast_config has the block engine on, so this exercises both the
-    // predecode-slot and the fused-block invalidation paths.
-    let fast = run_patch_scenario(&fast_config());
+    // The block and trace engines exercise both the predecode-slot and
+    // the fused-block invalidation paths; every engine subjected to the
+    // identical patch sequence must end in the step engine's state.
+    let stepped = run_patch_scenario(&config(Engine::Step));
     // Iteration 1 added 5, iteration 2 must execute the patched word.
-    assert_eq!(fast.cpu().reg(Reg::R4), 12, "stale pre-decoded instruction executed");
-
-    // And the whole machine state matches the per-instruction step
-    // engine and the decode-per-fetch loop subjected to the identical
-    // patch sequence.
-    let stepped = run_patch_scenario(&step_config());
-    let reference = run_patch_scenario(&reference_config());
-    assert_eq!(reference.cpu().reg(Reg::R4), 12);
-    assert_eq!(fast.cpu(), stepped.cpu());
-    assert_eq!(fast.stats(), stepped.stats());
-    assert_eq!(fast.cpu(), reference.cpu());
-    assert_eq!(fast.stats(), reference.stats());
+    assert_eq!(stepped.cpu().reg(Reg::R4), 12, "stale pre-decoded instruction executed");
+    for engine in ENGINES {
+        let sys = run_patch_scenario(&config(engine));
+        assert_eq!(sys.cpu(), stepped.cpu(), "{engine}");
+        assert_eq!(sys.stats(), stepped.stats(), "{engine}");
+    }
 }
 
 #[test]
@@ -191,12 +194,14 @@ fn faulting_block_preserves_step_engine_prefix_state() {
         let err = sys.run(10_000).unwrap_err();
         (sys, err)
     };
-    let (blocks, err_b) = run(&fast_config());
-    let (stepped, err_s) = run(&step_config());
-    assert_eq!(err_b, err_s, "both engines must raise the identical fault");
-    assert!(blocks.cpu().has_imm_prefix(), "the pending prefix must survive the Type-A fault");
-    assert_eq!(blocks.cpu(), stepped.cpu(), "post-fault CPU state must match");
-    assert_eq!(blocks.stats(), stepped.stats(), "post-fault stats must match");
+    let (stepped, err_s) = run(&config(Engine::Step));
+    assert!(stepped.cpu().has_imm_prefix(), "the pending prefix must survive the Type-A fault");
+    for engine in ENGINES {
+        let (sys, err) = run(&config(engine));
+        assert_eq!(err, err_s, "{engine} must raise the step engine's fault");
+        assert_eq!(sys.cpu(), stepped.cpu(), "{engine}: post-fault CPU state must match");
+        assert_eq!(sys.stats(), stepped.stats(), "{engine}: post-fault stats must match");
+    }
 }
 
 #[test]
@@ -204,42 +209,23 @@ fn trace_block_and_step_engines_match_on_all_workloads() {
     for workload in workloads::all() {
         let built = workload.build(MbFeatures::paper_default());
 
-        let mut traces = built.instantiate(&fast_config());
-        assert_eq!(traces.active_engine(), Engine::Trace);
-        let (out_t, trace_t) = traces.run_traced(500_000_000).unwrap();
-
-        let mut blocks = built.instantiate(&block_config());
-        assert_eq!(blocks.active_engine(), Engine::Block);
-        let (out_b, trace_b) = blocks.run_traced(500_000_000).unwrap();
-
-        let mut stepped = built.instantiate(&step_config());
-        assert_eq!(stepped.active_engine(), Engine::Step);
+        let mut stepped = built.instantiate(&config(Engine::Step));
         let (out_s, trace_s) = stepped.run_traced(500_000_000).unwrap();
 
-        assert_eq!(out_b, out_s, "{}: outcome must be identical", workload.name);
-        assert_eq!(out_t, out_s, "{}: trace-engine outcome must be identical", workload.name);
-        assert_eq!(
-            trace_b, trace_s,
-            "{}: block retirement must synthesize the identical event stream",
-            workload.name
-        );
-        assert_eq!(
-            trace_t, trace_s,
-            "{}: loop-trace retirement (guard side exits included) must \
-             synthesize the identical event stream",
-            workload.name
-        );
-        assert_eq!(blocks.stats(), stepped.stats(), "{}: ExecStats must match", workload.name);
-        assert_eq!(
-            traces.stats(),
-            stepped.stats(),
-            "{}: trace ExecStats must match",
-            workload.name
-        );
-        assert_eq!(blocks.cpu(), stepped.cpu(), "{}: final CPU state must match", workload.name);
-        assert_eq!(traces.cpu(), stepped.cpu(), "{}: trace CPU state must match", workload.name);
-        built.verify(blocks.dmem()).unwrap();
-        built.verify(traces.dmem()).unwrap();
+        for engine in ENGINES {
+            let mut sys = built.instantiate(&config(engine));
+            let (out, trace) = sys.run_traced(500_000_000).unwrap();
+            let name = format!("{} on {engine}", workload.name);
+            assert_eq!(out, out_s, "{name}: outcome must be identical");
+            assert_eq!(
+                trace, trace_s,
+                "{name}: block and loop-trace retirement (guard side exits included) must \
+                 synthesize the identical event stream"
+            );
+            assert_eq!(sys.stats(), stepped.stats(), "{name}: ExecStats must match");
+            assert_eq!(sys.cpu(), stepped.cpu(), "{name}: final CPU state must match");
+            built.verify(sys.dmem()).unwrap();
+        }
     }
 }
 
@@ -252,23 +238,19 @@ fn cached_configs_retire_blocks_with_identical_results() {
     for workload in workloads::paper_suite() {
         let built = workload.build(MbFeatures::paper_default());
 
-        let mut careful = built.instantiate(&cached_config(fast_config()));
-        let (out_c, trace_c) = careful.run_traced(2_000_000_000).unwrap();
-
-        let mut stepped = built.instantiate(&cached_config(step_config()));
-        assert_eq!(stepped.active_engine(), Engine::Step);
+        let mut stepped = built.instantiate(&cached(Engine::Step));
         let (out_s, trace_s) = stepped.run_traced(2_000_000_000).unwrap();
 
-        assert_eq!(out_c, out_s, "{}: cached outcome must be identical", workload.name);
-        assert_eq!(trace_c, trace_s, "{}: cached event streams must match", workload.name);
-        assert_eq!(
-            careful.stats(),
-            stepped.stats(),
-            "{}: cached ExecStats must match",
-            workload.name
-        );
-        assert_eq!(careful.cpu(), stepped.cpu(), "{}: cached CPU state must match", workload.name);
-        built.verify(careful.dmem()).unwrap();
+        for engine in ENGINES {
+            let mut careful = built.instantiate(&cached(engine));
+            let (out_c, trace_c) = careful.run_traced(2_000_000_000).unwrap();
+            let name = format!("{} on {engine}", workload.name);
+            assert_eq!(out_c, out_s, "{name}: cached outcome must be identical");
+            assert_eq!(trace_c, trace_s, "{name}: cached event streams must match");
+            assert_eq!(careful.stats(), stepped.stats(), "{name}: cached ExecStats must match");
+            assert_eq!(careful.cpu(), stepped.cpu(), "{name}: cached CPU state must match");
+            built.verify(careful.dmem()).unwrap();
+        }
     }
 }
 
@@ -277,30 +259,9 @@ fn cached_sliced_execution_stops_at_step_engine_boundaries() {
     // Careful dispatch checks the budget per op, so slice boundaries
     // land mid-block; they must be the step engine's exact boundaries.
     let built = workloads::by_name("brev").unwrap().build(MbFeatures::paper_default());
-    let budgets = [1u64, 3, 7, 17, 33, 129, 513];
-
-    let mut careful = built.instantiate(&cached_config(fast_config()));
-    let mut stepped = built.instantiate(&cached_config(step_config()));
-    let mut trace_c = Trace::new();
-    let mut trace_s = Trace::new();
-    for (i, &budget) in budgets.iter().cycle().enumerate() {
-        let out_c = careful.run_slice(budget, &mut trace_c).unwrap();
-        let out_s = stepped.run_slice(budget, &mut trace_s).unwrap();
-        assert_eq!(out_c, out_s, "slice {i} (budget {budget}) diverged");
-        assert_eq!(
-            careful.cpu().pc(),
-            stepped.cpu().pc(),
-            "slice {i} (budget {budget}): boundary PC diverged"
-        );
-        assert_eq!(careful.stats(), stepped.stats(), "slice {i}: stats diverged");
-        if out_c.exited() {
-            break;
-        }
-        assert!(i < 20_000_000, "workload never exited under sliced execution");
+    for engine in ENGINES {
+        assert_slices_match_step(&built, &cached(engine), &cached(Engine::Step));
     }
-    assert_eq!(trace_c, trace_s, "cached sliced traces must be event-identical");
-    assert_eq!(careful.cpu(), stepped.cpu());
-    built.verify(careful.dmem()).unwrap();
 }
 
 #[test]
@@ -310,30 +271,39 @@ fn sliced_block_execution_stops_at_step_engine_boundaries() {
     // engine would have used, observable as identical PC / stats /
     // outcome after every slice.
     let built = workloads::by_name("brev").unwrap().build(MbFeatures::paper_default());
-    let budgets = [1u64, 3, 7, 17, 33, 129, 513];
+    for engine in ENGINES {
+        assert_slices_match_step(&built, &config(engine), &config(Engine::Step));
+    }
+}
 
-    let mut blocks = built.instantiate(&fast_config());
-    let mut stepped = built.instantiate(&step_config());
-    let mut trace_b = Trace::new();
+/// Runs `built` under `engine` and `step` side by side in slices of
+/// mid-block budgets, asserting identical outcome, boundary PC, and
+/// stats after every slice and identical traces and CPU at the end.
+fn assert_slices_match_step(built: &workloads::BuiltWorkload, engine: &MbConfig, step: &MbConfig) {
+    let budgets = [1u64, 3, 7, 17, 33, 129, 513];
+    let label = engine.engine;
+    let mut fast = built.instantiate(engine);
+    let mut stepped = built.instantiate(step);
+    let mut trace_f = Trace::new();
     let mut trace_s = Trace::new();
     for (i, &budget) in budgets.iter().cycle().enumerate() {
-        let out_b = blocks.run_slice(budget, &mut trace_b).unwrap();
+        let out_f = fast.run_slice(budget, &mut trace_f).unwrap();
         let out_s = stepped.run_slice(budget, &mut trace_s).unwrap();
-        assert_eq!(out_b, out_s, "slice {i} (budget {budget}) diverged");
+        assert_eq!(out_f, out_s, "{label} slice {i} (budget {budget}) diverged");
         assert_eq!(
-            blocks.cpu().pc(),
+            fast.cpu().pc(),
             stepped.cpu().pc(),
-            "slice {i} (budget {budget}): boundary PC diverged"
+            "{label} slice {i} (budget {budget}): boundary PC diverged"
         );
-        assert_eq!(blocks.stats(), stepped.stats(), "slice {i}: stats diverged");
-        if out_b.exited() {
+        assert_eq!(fast.stats(), stepped.stats(), "{label} slice {i}: stats diverged");
+        if out_f.exited() {
             break;
         }
-        assert!(i < 20_000_000, "workload never exited under sliced execution");
+        assert!(i < 20_000_000, "{label}: workload never exited under sliced execution");
     }
-    assert_eq!(trace_b, trace_s, "sliced traces must be event-identical");
-    assert_eq!(blocks.cpu(), stepped.cpu());
-    built.verify(blocks.dmem()).unwrap();
+    assert_eq!(trace_f, trace_s, "{label}: sliced traces must be event-identical");
+    assert_eq!(fast.cpu(), stepped.cpu(), "{label}");
+    built.verify(fast.dmem()).unwrap();
 }
 
 /// A 100-iteration counting loop: one-word `li`, two-op body, backward
@@ -370,16 +340,13 @@ fn mid_trace_patches_to_body_and_guard_words_take_effect() {
         assert!(out.exited());
         sys
     };
-    let traces = run(&fast_config());
-    let blocks = run(&block_config());
-    let stepped = run(&step_config());
-    let reference = run(&reference_config());
-    assert_eq!(traces.cpu().reg(Reg::R5), 1, "patched guard word must execute");
-    assert_eq!(traces.cpu(), stepped.cpu());
-    assert_eq!(traces.stats(), stepped.stats());
-    assert_eq!(blocks.cpu(), stepped.cpu());
-    assert_eq!(blocks.stats(), stepped.stats());
-    assert_eq!(reference.cpu(), stepped.cpu());
+    let stepped = run(&config(Engine::Step));
+    assert_eq!(stepped.cpu().reg(Reg::R5), 1, "patched guard word must execute");
+    for engine in ENGINES {
+        let sys = run(&config(engine));
+        assert_eq!(sys.cpu(), stepped.cpu(), "{engine}");
+        assert_eq!(sys.stats(), stepped.stats(), "{engine}");
+    }
 }
 
 #[test]
@@ -404,13 +371,12 @@ fn write_log_overflow_mid_slice_still_invalidates_traces() {
         assert!(out.exited());
         sys
     };
-    let traces = run(&fast_config());
-    let blocks = run(&block_config());
-    let stepped = run(&step_config());
-    assert_eq!(traces.cpu(), stepped.cpu());
-    assert_eq!(traces.stats(), stepped.stats());
-    assert_eq!(blocks.cpu(), stepped.cpu());
-    assert_eq!(blocks.stats(), stepped.stats());
+    let stepped = run(&config(Engine::Step));
+    for engine in ENGINES {
+        let sys = run(&config(engine));
+        assert_eq!(sys.cpu(), stepped.cpu(), "{engine}");
+        assert_eq!(sys.stats(), stepped.stats(), "{engine}");
+    }
 }
 
 #[test]
@@ -435,26 +401,29 @@ fn guard_failure_side_exit_resumes_at_the_architectural_boundary() {
         a.push(Insn::swi(Reg::R0, Reg::R31, 0));
         a.finish().unwrap()
     };
-    for budget in [5u64, 23, 101, 1_000_000] {
-        let mut traces = System::new(fast_config());
-        let mut stepped = System::new(step_config());
-        traces.load_program(&program).unwrap();
-        stepped.load_program(&program).unwrap();
-        let mut trace_t = Trace::new();
-        let mut trace_s = Trace::new();
-        loop {
-            let out_t = traces.run_slice(budget, &mut trace_t).unwrap();
-            let out_s = stepped.run_slice(budget, &mut trace_s).unwrap();
-            assert_eq!(out_t, out_s, "budget {budget} diverged");
-            assert_eq!(traces.cpu().pc(), stepped.cpu().pc(), "budget {budget}: boundary PC");
-            if out_t.exited() {
-                break;
+    for engine in ENGINES {
+        for budget in [5u64, 23, 101, 1_000_000] {
+            let what = format!("{engine}, budget {budget}");
+            let mut fast = System::new(config(engine));
+            let mut stepped = System::new(config(Engine::Step));
+            fast.load_program(&program).unwrap();
+            stepped.load_program(&program).unwrap();
+            let mut trace_f = Trace::new();
+            let mut trace_s = Trace::new();
+            loop {
+                let out_f = fast.run_slice(budget, &mut trace_f).unwrap();
+                let out_s = stepped.run_slice(budget, &mut trace_s).unwrap();
+                assert_eq!(out_f, out_s, "{what}: diverged");
+                assert_eq!(fast.cpu().pc(), stepped.cpu().pc(), "{what}: boundary PC");
+                if out_f.exited() {
+                    break;
+                }
             }
+            assert_eq!(trace_f, trace_s, "{what}: event streams must match");
+            assert_eq!(fast.cpu(), stepped.cpu(), "{what}");
+            assert_eq!(fast.stats(), stepped.stats(), "{what}");
+            assert_eq!(fast.cpu().reg(Reg::R4), 25 * 4 * 3);
         }
-        assert_eq!(trace_t, trace_s, "budget {budget}: event streams must match");
-        assert_eq!(traces.cpu(), stepped.cpu(), "budget {budget}");
-        assert_eq!(traces.stats(), stepped.stats(), "budget {budget}");
-        assert_eq!(traces.cpu().reg(Reg::R4), 25 * 4 * 3);
     }
 }
 
@@ -478,12 +447,16 @@ fn trailing_imm_guard_prefix_survives_slice_boundaries() {
         a.push(Insn::swi(Reg::R0, Reg::R31, 0));
         a.finish().unwrap()
     };
-    let pairs: [(MbConfig, MbConfig); 2] = [
-        (fast_config(), step_config()),
-        (cached_config(fast_config()), cached_config(step_config())),
-    ];
+    let pairs = ENGINES.into_iter().flat_map(|engine| {
+        [(config(engine), config(Engine::Step)), (cached(engine), cached(Engine::Step))]
+    });
     for (engine_config, step_config) in pairs {
         for budget in [1u64, 2, 3, 4, 5, 7, 11] {
+            let what = format!(
+                "{} (caches {}), budget {budget}",
+                engine_config.engine,
+                engine_config.icache.is_some()
+            );
             let mut fast = System::new(engine_config.clone());
             let mut stepped = System::new(step_config.clone());
             fast.load_program(&program).unwrap();
@@ -493,18 +466,18 @@ fn trailing_imm_guard_prefix_survives_slice_boundaries() {
             loop {
                 let out_f = fast.run_slice(budget, &mut trace_f).unwrap();
                 let out_s = stepped.run_slice(budget, &mut trace_s).unwrap();
-                assert_eq!(out_f, out_s, "budget {budget} diverged");
+                assert_eq!(out_f, out_s, "{what}: diverged");
                 assert_eq!(
                     fast.cpu(),
                     stepped.cpu(),
-                    "budget {budget}: full CPU state (incl. imm prefix) at the boundary"
+                    "{what}: full CPU state (incl. imm prefix) at the boundary"
                 );
                 if out_f.exited() {
                     break;
                 }
             }
-            assert_eq!(trace_f, trace_s, "budget {budget}: event streams must match");
-            assert_eq!(fast.stats(), stepped.stats(), "budget {budget}");
+            assert_eq!(trace_f, trace_s, "{what}: event streams must match");
+            assert_eq!(fast.stats(), stepped.stats(), "{what}");
             assert_eq!(fast.cpu().reg(Reg::R4), 50 * 9);
         }
     }
@@ -515,10 +488,10 @@ fn summary_sink_equals_full_trace_aggregates() {
     for workload in workloads::paper_suite() {
         let built = workload.build(MbFeatures::paper_default());
 
-        let mut traced = built.instantiate(&fast_config());
+        let mut traced = built.instantiate(&MbConfig::paper_default());
         let (out_t, trace) = traced.run_traced(500_000_000).unwrap();
 
-        let mut summarized = built.instantiate(&fast_config());
+        let mut summarized = built.instantiate(&MbConfig::paper_default());
         let (out_s, summary) = summarized.run_summarized(500_000_000).unwrap();
 
         assert_eq!(out_t, out_s, "{}", workload.name);

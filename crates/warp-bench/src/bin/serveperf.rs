@@ -1,8 +1,8 @@
 //! Measures the warp-serve scheduler at fleet scale — ≥1k concurrent
 //! seeded sessions (256 in smoke mode) time-sliced over a fixed worker
-//! pool, all sharing one bounded circuit cache — and writes
-//! `BENCH_serve.json` (schema `warp-mb/bench-serve/v2`: setup vs
-//! execute wall-clock split plus the debug-only allocation count).
+//! pool, all sharing one circuit cache — and writes `BENCH_serve.json`
+//! (schema `warp-mb/bench-serve/v3`: setup vs execute wall-clock split,
+//! the debug-only allocation count, and the cache's hits and misses).
 //!
 //! Usage: `serveperf [--smoke] [--out <path>]`
 //!

@@ -12,9 +12,6 @@
 //! | `simperf` | Simulation throughput (Minsn/s) → `BENCH_sim.json` |
 //! | `onlineperf` | Online-runtime timeline (time-to-warp, re-warps) → `BENCH_online.json` |
 //! | `serveperf` | Multi-session serving throughput (sessions/s, fleet Minsn/s, cache hit rate) → `BENCH_serve.json` |
-//!
-//! Criterion benches (`cargo bench -p warp-bench`) measure the CAD
-//! pipeline stages, the simulators, and the end-to-end warp flow.
 
 // `deny` rather than `forbid`: the allocation-counting shim in
 // `alloc` is the one sanctioned `unsafe` (a pass-through

@@ -3,7 +3,7 @@
 //! aggregate simulated-instruction throughput is, how time-to-first-warp
 //! distributes across tenants, and how much the shared circuit cache
 //! saves the fleet. [`ServePerf::to_json`] emits `BENCH_serve.json`
-//! (schema `warp-mb/bench-serve/v2`, documented in the README's "Warp
+//! (schema `warp-mb/bench-serve/v3`, documented in the README's "Warp
 //! as a service" section).
 //!
 //! v2 splits the wall clock into `setup_seconds` (warming the server —
@@ -17,6 +17,10 @@
 //! split makes the pooled hot path's win attributable: image captures,
 //! first-boot compiles, and constructors amortize into setup; the
 //! execute window pays only for serving.
+//!
+//! v3 drops the shared cache's `evictions` and `capacity`: the cache is
+//! an unbounded fingerprint map, so its counters are hits, misses, and
+//! resident entries.
 //!
 //! Unlike `onlineperf`'s numbers, the throughput figures here are
 //! host wall-clock (like `simperf`'s): they depend on the machine and
@@ -138,7 +142,7 @@ impl ServePerf {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"warp-mb/bench-serve/v2\",\n");
+        out.push_str("  \"schema\": \"warp-mb/bench-serve/v3\",\n");
         out.push_str(&format!("  \"mode\": \"{}\",\n", if self.smoke { "smoke" } else { "full" }));
         out.push_str(&format!("  \"workers\": {},\n", self.workers));
         out.push_str(&format!("  \"quantum_slices\": {},\n", self.quantum_slices));
@@ -163,12 +167,10 @@ impl ServePerf {
             self.ttfw.sessions, self.ttfw.min, self.ttfw.mean, self.ttfw.p50, self.ttfw.p90, self.ttfw.max
         ));
         out.push_str(&format!(
-            "  \"shared_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"entries\": {}, \"capacity\": {}, \"hit_rate\": {:.4}}}\n",
+            "  \"shared_cache\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}, \"hit_rate\": {:.4}}}\n",
             self.cache.hits,
             self.cache.misses,
-            self.cache.evictions,
             self.cache.entries,
-            self.cache.capacity.map_or("null".into(), |c| c.to_string()),
             self.cache.hit_rate(),
         ));
         out.push_str("}\n");
@@ -189,7 +191,7 @@ impl ServePerf {
              aggregate Minsn/s  {:>10.1}\n\
              warps landed       {:>10}\n\
              ttfw p50/p90 (cyc) {:>7} / {}\n\
-             cache hit rate     {:>9.1}%  ({} hits, {} misses, {} evictions)\n",
+             cache hit rate     {:>9.1}%  ({} hits, {} misses)\n",
             self.sessions,
             self.finished,
             self.failed,
@@ -205,23 +207,20 @@ impl ServePerf {
             100.0 * self.cache.hit_rate(),
             self.cache.hits,
             self.cache.misses,
-            self.cache.evictions,
         )
     }
 }
 
 /// Drives a fleet of seeded sessions through one server and measures
 /// it. The fleet cycles through the whole workload registry with a
-/// distinct data seed per session, every session sharing one bounded
-/// circuit cache — so tenants running the same kernel warm-start from
-/// each other and the measured hit rate is the cross-session one.
+/// distinct data seed per session, every session sharing one circuit
+/// cache — so tenants running the same kernel warm-start from each
+/// other and the measured hit rate is the cross-session one.
 #[must_use]
 pub fn measure_fleet(smoke: bool, workers: usize) -> ServePerf {
     let sessions = if smoke { SMOKE_SESSIONS } else { FULL_SESSIONS };
     let specs = workloads::all();
-    // Capacity below the distinct-kernel count: the cache must evict
-    // under real fleet pressure, not just grow to fit.
-    let cache = Arc::new(CircuitCache::bounded(specs.len().saturating_sub(2).max(1)));
+    let cache = Arc::new(CircuitCache::new());
     let cad = Arc::new(CadService::from_env());
     let config = ServeConfig { workers, ..ServeConfig::default() };
     let quantum_slices = config.quantum_slices;
@@ -327,13 +326,7 @@ mod tests {
             sim_instructions: 400_000_000,
             warps: 300,
             ttfw: TtfwDistribution::from_samples(vec![100, 200, 300, 400, 500, 600, 700, 800]),
-            cache: CacheStats {
-                hits: 240,
-                misses: 16,
-                evictions: 7,
-                entries: 7,
-                capacity: Some(7),
-            },
+            cache: CacheStats { hits: 240, misses: 16, entries: 7 },
         }
     }
 
@@ -358,7 +351,7 @@ mod tests {
     #[test]
     fn json_has_schema_and_required_fields() {
         let json = synthetic().to_json();
-        assert!(json.contains("\"schema\": \"warp-mb/bench-serve/v2\""));
+        assert!(json.contains("\"schema\": \"warp-mb/bench-serve/v3\""));
         for key in [
             "\"sessions\": 256",
             "\"sessions_per_second\": 128.00",
@@ -370,7 +363,7 @@ mod tests {
             "\"time_to_first_warp\"",
             "\"shared_cache\"",
             "\"hit_rate\": 0.9375",
-            "\"capacity\": 7",
+            "\"entries\": 7",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
@@ -406,7 +399,7 @@ mod tests {
         // cache sees same-kernel tenants quickly.
         let specs: Vec<_> =
             ["brev", "crc32"].iter().map(|n| workloads::by_name(n).unwrap()).collect();
-        let cache = Arc::new(CircuitCache::bounded(4));
+        let cache = Arc::new(CircuitCache::new());
         let cad = Arc::new(CadService::from_env());
         let server = Server::start(ServeConfig { workers, quantum_slices: 16 });
         let setup_start = Instant::now();

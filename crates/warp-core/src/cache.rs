@@ -18,15 +18,9 @@
 //! compilation itself runs outside the lock so concurrent misses on
 //! *different* kernels still compile in parallel.
 //!
-//! # Bounded mode
-//!
-//! A long-running multi-tenant host cannot let the cache grow with
-//! every kernel its sessions ever warped. [`CircuitCache::bounded`]
-//! caps the store at a fixed number of entries and evicts the
-//! least-recently-used circuit to admit a new one (recency is bumped on
-//! every hit, probe, or insertion). The default [`CircuitCache::new`]
-//! keeps the historical unbounded behavior — existing single-run flows
-//! and their committed benchmarks are unchanged.
+//! The cache is a plain fingerprint map: every circuit it admits stays
+//! resident. Its size is the number of distinct kernels the host ever
+//! warped — a handful per program — so there is nothing to bound.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,19 +31,15 @@ use warp_wcla::CadCaches;
 use crate::pipeline::{compile_circuit, CompiledWcla, DecompiledKernel};
 use crate::system::WarpError;
 
-/// Hit/miss/eviction counters for a [`CircuitCache`].
+/// Hit/miss counters for a [`CircuitCache`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CacheStats {
     /// Lookups that found a compiled circuit.
     pub hits: u64,
     /// Lookups that had to run the CAD chain.
     pub misses: u64,
-    /// Circuits evicted to admit new ones (bounded caches only).
-    pub evictions: u64,
     /// Distinct kernels currently cached.
     pub entries: usize,
-    /// Maximum entries admitted (`None` = unbounded).
-    pub capacity: Option<usize>,
 }
 
 impl CacheStats {
@@ -65,31 +55,6 @@ impl CacheStats {
     }
 }
 
-/// One cached circuit plus the recency stamp the LRU policy orders by.
-struct Entry {
-    artifact: Arc<CompiledWcla>,
-    last_used: u64,
-}
-
-/// The keyed store behind the mutex: entries plus the logical clock
-/// that stamps recency (monotonic per cache, bumped on every touch).
-#[derive(Default)]
-struct Slots {
-    map: HashMap<u64, Entry>,
-    tick: u64,
-}
-
-impl Slots {
-    fn touch(&mut self, fingerprint: u64) -> Option<Arc<CompiledWcla>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(&fingerprint).map(|e| {
-            e.last_used = tick;
-            Arc::clone(&e.artifact)
-        })
-    }
-}
-
 /// A thread-safe, content-addressed store of compiled WCLA circuits.
 ///
 /// Beyond whole-circuit artifacts, the cache carries a set of
@@ -97,28 +62,12 @@ impl Slots {
 /// placements, and first-pass net routes — so an online runtime
 /// attached to this cache can compile a *shifted-but-similar* kernel
 /// incrementally even when its whole-kernel fingerprint misses.
+#[derive(Default)]
 pub struct CircuitCache {
-    slots: Mutex<Slots>,
-    /// Maximum entries; `usize::MAX` means unbounded (the default).
-    capacity: usize,
+    circuits: Mutex<HashMap<u64, Arc<CompiledWcla>>>,
     cad: Arc<CadCaches>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl Default for CircuitCache {
-    /// An unbounded cache, same as [`CircuitCache::new`].
-    fn default() -> Self {
-        CircuitCache {
-            slots: Mutex::default(),
-            capacity: usize::MAX,
-            cad: Arc::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
 }
 
 impl std::fmt::Debug for CircuitCache {
@@ -128,32 +77,10 @@ impl std::fmt::Debug for CircuitCache {
 }
 
 impl CircuitCache {
-    /// Creates an empty, unbounded cache (the historical behavior).
+    /// Creates an empty cache.
     #[must_use]
     pub fn new() -> Self {
         CircuitCache::default()
-    }
-
-    /// Creates an empty cache holding at most `capacity` circuits
-    /// (clamped to at least 1); admitting a circuit beyond that evicts
-    /// the least-recently-used entry.
-    #[must_use]
-    pub fn bounded(capacity: usize) -> Self {
-        CircuitCache { capacity: capacity.max(1), ..CircuitCache::default() }
-    }
-
-    /// The configured capacity (`None` when unbounded).
-    #[must_use]
-    pub fn capacity(&self) -> Option<usize> {
-        (self.capacity != usize::MAX).then_some(self.capacity)
-    }
-
-    /// Returns the cached circuit for a kernel fingerprint, if present,
-    /// marking the entry most-recently used. Does not touch the
-    /// hit/miss counters.
-    #[must_use]
-    pub fn get(&self, fingerprint: u64) -> Option<Arc<CompiledWcla>> {
-        self.slots.lock().expect("cache lock").touch(fingerprint)
     }
 
     /// The sub-kernel CAD caches carried by this circuit cache. Runtimes
@@ -171,7 +98,8 @@ impl CircuitCache {
     /// miss.
     #[must_use]
     pub fn probe(&self, decompiled: &DecompiledKernel) -> Option<Arc<CompiledWcla>> {
-        let hit = self.get(decompiled.fingerprint)?;
+        let hit =
+            self.circuits.lock().expect("cache lock").get(&decompiled.fingerprint).cloned()?;
         if hit.circuit.kernel == decompiled.kernel {
             self.hits.fetch_add(1, Ordering::Relaxed);
             Some(hit)
@@ -181,37 +109,16 @@ impl CircuitCache {
     }
 
     /// Publishes a freshly compiled circuit, counting a miss. On a
-    /// fingerprint collision the slot stays with its first owner; the
-    /// caller keeps using its own artifact either way. A full bounded
-    /// cache evicts its least-recently-used circuit to admit the new
-    /// one (concurrent insertions each admit their entry — an insertion
-    /// is never silently dropped).
+    /// fingerprint collision (or a racing insert of the same kernel) the
+    /// slot stays with its first owner; the caller keeps using its own
+    /// artifact either way.
     pub fn insert_compiled(&self, compiled: &Arc<CompiledWcla>) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.admit(compiled.fingerprint, compiled);
-    }
-
-    /// Inserts under the lock, evicting LRU entries down to capacity.
-    fn admit(&self, fingerprint: u64, artifact: &Arc<CompiledWcla>) {
-        let mut slots = self.slots.lock().expect("cache lock");
-        slots.tick += 1;
-        let tick = slots.tick;
-        if slots.map.contains_key(&fingerprint) {
-            // First owner keeps the slot; refresh its recency so a
-            // racing duplicate insert does not age the shared artifact.
-            if let Some(e) = slots.map.get_mut(&fingerprint) {
-                e.last_used = tick;
-            }
-            return;
-        }
-        while slots.map.len() >= self.capacity.max(1) {
-            let Some((&victim, _)) = slots.map.iter().min_by_key(|(_, e)| e.last_used) else {
-                break;
-            };
-            slots.map.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        slots.map.insert(fingerprint, Entry { artifact: Arc::clone(artifact), last_used: tick });
+        self.circuits
+            .lock()
+            .expect("cache lock")
+            .entry(compiled.fingerprint)
+            .or_insert_with(|| Arc::clone(compiled));
     }
 
     /// Returns the compiled circuit for a decompiled kernel, running
@@ -230,55 +137,34 @@ impl CircuitCache {
         &self,
         decompiled: &DecompiledKernel,
     ) -> Result<(Arc<CompiledWcla>, bool), WarpError> {
-        if let Some(hit) = self.get(decompiled.fingerprint) {
-            // The 64-bit FNV-1a fingerprint is not collision-proof, so a
-            // hit must still match the kernel itself before the CAD chain
-            // is skipped. A colliding kernel compiles fresh and is *not*
-            // inserted (the slot stays with its first owner).
-            if hit.circuit.kernel == decompiled.kernel {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((hit, true));
-            }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::new(compile_circuit(decompiled)?), false));
+        if let Some(hit) = self.probe(decompiled) {
+            return Ok((hit, true));
         }
         let compiled = Arc::new(compile_circuit(decompiled)?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.admit(decompiled.fingerprint, &compiled);
-        // Serve whatever the slot now holds so racing compilers of the
-        // same kernel converge on one shared artifact; if a bounded
-        // cache already evicted it again, fall back to our own copy.
-        let stored = self.get(decompiled.fingerprint).unwrap_or(compiled);
-        Ok((stored, false))
+        self.insert_compiled(&compiled);
+        Ok((compiled, false))
     }
 
-    /// Current hit/miss/eviction/occupancy counters.
+    /// Current hit/miss/occupancy counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.slots.lock().expect("cache lock").map.len(),
-            capacity: self.capacity(),
+            entries: self.len(),
         }
     }
 
     /// Number of distinct kernels cached.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.lock().expect("cache lock").map.len()
+        self.circuits.lock().expect("cache lock").len()
     }
 
     /// Whether the cache holds no circuits.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every cached circuit (counters are kept).
-    pub fn clear(&self) {
-        self.slots.lock().expect("cache lock").map.clear();
     }
 }
 
@@ -314,70 +200,33 @@ mod tests {
         assert!(!hit0);
         assert!(hit1);
         assert!(Arc::ptr_eq(&cold, &warm), "hit must share the cached artifact");
-        assert_eq!(
-            cache.stats(),
-            CacheStats { hits: 1, misses: 1, evictions: 0, entries: 1, capacity: None }
-        );
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, entries: 1 });
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn distinct_kernels_occupy_distinct_slots() {
         let cache = CircuitCache::new();
+        assert!(cache.is_empty());
         let a = decompiled("brev");
         let b = decompiled("canrdr");
         assert_ne!(a.fingerprint, b.fingerprint);
         cache.lookup_or_compile(&a).unwrap();
         cache.lookup_or_compile(&b).unwrap();
         assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]
-    fn bounded_cache_evicts_least_recently_used() {
-        let cache = CircuitCache::bounded(2);
-        assert_eq!(cache.capacity(), Some(2));
-        let a = decompiled("brev");
-        let b = decompiled("canrdr");
-        let c = decompiled("crc32");
-
-        cache.lookup_or_compile(&a).unwrap();
-        cache.lookup_or_compile(&b).unwrap();
-        // Touch `a` so `b` becomes the LRU victim.
-        assert!(cache.probe(&a).is_some());
-        cache.lookup_or_compile(&c).unwrap();
-
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(a.fingerprint).is_some(), "recently-used entry must survive");
-        assert!(cache.get(b.fingerprint).is_none(), "LRU entry must be evicted");
-        assert!(cache.get(c.fingerprint).is_some(), "new entry must be admitted");
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn evicted_kernel_recompiles_bit_identical() {
-        let cache = CircuitCache::bounded(1);
-        let a = decompiled("brev");
-        let b = decompiled("canrdr");
-        let (first, _) = cache.lookup_or_compile(&a).unwrap();
-        cache.lookup_or_compile(&b).unwrap(); // evicts `a`
-        let (again, hit) = cache.lookup_or_compile(&a).unwrap();
-        assert!(!hit, "evicted circuit must recompile");
-        assert!(!Arc::ptr_eq(&first, &again));
-        assert_eq!(first.circuit.compiled.bitstream, again.circuit.compiled.bitstream);
-        assert_eq!(first.circuit.model, again.circuit.model);
-        assert_eq!(first.dpm, again.dpm);
-    }
-
-    #[test]
-    fn unbounded_default_never_evicts() {
+    fn probe_counts_hits_and_insert_counts_misses() {
         let cache = CircuitCache::new();
-        assert_eq!(cache.capacity(), None);
-        for name in ["brev", "canrdr", "crc32", "fir"] {
-            cache.lookup_or_compile(&decompiled(name)).unwrap();
-        }
-        assert_eq!(cache.len(), 4);
-        assert_eq!(cache.stats().evictions, 0);
+        let d = decompiled("brev");
+        assert!(cache.probe(&d).is_none(), "empty cache cannot hit");
+        let compiled = Arc::new(pipeline::compile_circuit(&d).unwrap());
+        cache.insert_compiled(&compiled);
+        // A racing duplicate insert keeps the first owner's artifact.
+        cache.insert_compiled(&Arc::new(pipeline::compile_circuit(&d).unwrap()));
+        let hit = cache.probe(&d).expect("published circuit must hit");
+        assert!(Arc::ptr_eq(&hit, &compiled));
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2, entries: 1 });
     }
 }

@@ -1,34 +1,77 @@
-//! The online runtime as an owned, resumable state machine.
+//! The online warp runtime: an owned, resumable state machine.
 //!
-//! [`Orchestrator::run`](crate::Orchestrator::run) is the one-shot
-//! driver; an [`OnlineSession`] is the same runtime with the run loop
-//! turned inside out. All of the loop-carried state — the simulated
-//! [`System`], the profiler, the OCPM's in-flight/pending CAD job, the
-//! active patch, the warp-event timeline — lives in the session struct,
-//! and [`OnlineSession::advance`] executes a bounded number of
-//! scheduler slices before handing control back.
+//! One [`OnlineSession`] interleaves three actors on a single simulated
+//! timeline:
 //!
-//! That inversion is what makes **warp-as-a-service** possible: a
-//! session is `Send` and `'static` (it owns its workload via `Arc` and
-//! shares the [`CircuitCache`]/[`CadService`] via `Arc`), so a server
-//! can host thousands of them and time-slice runnable sessions across a
-//! fixed worker pool, migrating a session between threads at any
-//! `advance` boundary. Because `advance` replays exactly the loop body
-//! of `Orchestrator::run` — same slice budget, same join/patch/detect
-//! ordering at every slice boundary — a served session's
-//! [`OnlineReport`] is bit-identical to a standalone run of the same
-//! workload, no matter how its slices interleave with other sessions or
-//! how many worker threads the server uses. The compile-time
-//! `assert_send` at the bottom of this module keeps regressions from
-//! ever reaching the server.
+//! * the **MicroBlaze**, executing the workload in bounded cycle slices;
+//! * the **profiler**, fed every retired instruction during the slice
+//!   (it is the slice's [`TraceSink`](mb_sim::TraceSink)) and decayed
+//!   on a fixed cadence so it tracks the current program phase;
+//! * the **OCPM**, which — once the policy commits to a region — runs
+//!   the real CAD chain host-side through the typed
+//!   [`warp_core::pipeline`] stages on a background [`CadService`]
+//!   worker, while the *modeled* lean-processor cycle cost is charged to
+//!   the timeline; the patch lands only when that budget has elapsed in
+//!   simulated time.
+//!
+//! # Concurrency without nondeterminism
+//!
+//! The paper's DPM is a separate processor: CAD runs *while* the
+//! application keeps executing. The runtime reproduces that overlap in
+//! host wall-clock — compilation is submitted to a worker thread at
+//! detection and the MicroBlaze keeps simulating slices — without ever
+//! letting host speed or `WARP_CAD_THREADS` leak into the modeled
+//! timeline. The trick is that the background result is only *consumed*
+//! at a boundary computed from modeled quantities: the first slice
+//! boundary at-or-after `detected + decompile_floor` (a lower bound on
+//! the CAD budget known at detection). If the worker is still running
+//! there, the session blocks on it; if it finished earlier, the result
+//! waited. Either way every downstream decision — blacklisting,
+//! `ready_at`, the patch cycle — happens at the same simulated cycle on
+//! every host, so [`OnlineReport`]s are byte-identical across thread
+//! counts.
+//!
+//! When a [`CircuitCache`] is attached, its sub-kernel [`CadCaches`]
+//! ride along into the background compile: a re-warp of a
+//! shifted-but-similar kernel replays mapped LUT cones, placements, and
+//! first-pass net routes, producing a bit-identical circuit while
+//! charging only the delta work to the timeline (see
+//! [`warp_core::pipeline::compile_circuit_cached`]).
+//!
+//! Hot-patching happens between slices through
+//! [`System::imem_mut`]; the pre-decoded fetch store invalidates itself
+//! via `Bram::generation`, so the next fetch of the loop head sees the
+//! jump to the invocation stub. Because the stub marshals the *current*
+//! counter, stream pointers, and accumulators, a patch that lands
+//! mid-loop is safe: the next pass over the loop head hands the
+//! remaining iterations to hardware.
+//!
+//! # One run loop, any slicing
+//!
+//! All of the loop-carried state — the simulated [`System`], the
+//! profiler, the OCPM's in-flight/pending CAD job, the active patch,
+//! the warp-event timeline — lives in the session struct, and
+//! [`OnlineSession::advance`] executes a bounded number of scheduler
+//! slices before handing control back; [`OnlineSession::run`] drains it
+//! to completion. A session is `Send` and `'static` (it owns its
+//! workload via `Arc` and shares the [`CircuitCache`]/[`CadService`]
+//! via `Arc`), so a server can host thousands of them and time-slice
+//! runnable sessions across a fixed worker pool, migrating a session
+//! between threads at any `advance` boundary. Every slice does the same
+//! join/patch/detect boundary work whatever the slice budget, so a
+//! served session's [`OnlineReport`] is bit-identical to a standalone
+//! `run` of the same workload, no matter how its slices interleave with
+//! other sessions or how many worker threads the server uses. The
+//! compile-time `assert_send` at the bottom of this module keeps
+//! regressions from ever reaching the server.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-use mb_sim::{ProgramImage, StopReason, System};
+use mb_sim::{MbConfig, ProgramImage, StopReason, System};
 use warp_core::dpm::{costs, DpmReport};
 use warp_core::pipeline::{self, CompiledWcla};
-use warp_core::{CadHandle, CadService, CircuitCache, WarpError};
+use warp_core::{CadHandle, CadService, CircuitCache, WarpError, WarpOptions};
 use warp_profiler::{HotRegion, Profiler};
 use warp_wcla::patch::{apply_patch, revert_patch, PatchPlan};
 use warp_wcla::CadCaches;
@@ -36,11 +79,51 @@ use warp_wcla::{WclaDevice, WclaStats, WCLA_BASE, WCLA_WINDOW};
 use workloads::BuiltWorkload;
 
 use crate::error::OnlineError;
-use crate::orchestrator::OnlineConfig;
 use crate::policy::{PolicyCtx, ThresholdPolicy, WarpPolicy};
 use crate::pool::SessionPool;
 use crate::report::{OnlineReport, WarpEvent};
 use crate::slot::SharedSlot;
+
+/// Knobs of the online runtime.
+#[derive(Clone, Debug)]
+pub struct OnlineConfig {
+    /// Simulated system configuration (features are overridden per
+    /// workload by [`BuiltWorkload::instantiate`]).
+    pub mb: MbConfig,
+    /// The warp flow's options: profiler geometry, power models, and —
+    /// crucially here — `dpm_clock_hz`, the clock of the lean OCPM
+    /// processor that the CAD cycle budget is converted with.
+    pub options: WarpOptions,
+    /// Cycle budget per scheduler slice. Smaller slices react faster
+    /// (detection and patching happen at slice boundaries) but cost
+    /// more host-side scheduling; one slice should cover at least a
+    /// few hundred kernel iterations.
+    pub slice_cycles: u64,
+    /// Profiler decay cadence, in slices (0 disables decay). Decay is
+    /// what lets the ranking *forget* a phase that ended or a kernel
+    /// that moved to hardware.
+    pub decay_interval: u32,
+    /// Number of times to run the application end-to-end on one
+    /// timeline. Patches persist across repeats — a re-entered program
+    /// starts warped, the paper's "transparent optimization amortized
+    /// over reuse".
+    pub repeats: u32,
+    /// Hard timeline budget across all repeats.
+    pub max_cycles: u64,
+}
+
+impl Default for OnlineConfig {
+    fn default() -> Self {
+        OnlineConfig {
+            mb: MbConfig::paper_default(),
+            options: WarpOptions::default(),
+            slice_cycles: 20_000,
+            decay_interval: 16,
+            repeats: 1,
+            max_cycles: 2_000_000_000,
+        }
+    }
+}
 
 /// What [`OnlineSession::advance`] left behind.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -102,8 +185,8 @@ struct ActiveWarp {
 }
 
 /// The online warp runtime for one workload, sliced for cooperative
-/// scheduling. See the module docs for how this relates to
-/// [`Orchestrator`](crate::Orchestrator).
+/// scheduling ([`advance`](OnlineSession::advance)) or drained in one
+/// call ([`run`](OnlineSession::run)). See the module docs.
 pub struct OnlineSession {
     built: Arc<BuiltWorkload>,
     config: OnlineConfig,
@@ -140,9 +223,8 @@ pub struct OnlineSession {
 
 impl OnlineSession {
     /// Creates a session with the default [`ThresholdPolicy`], no shared
-    /// circuit cache, and a private [`CadService`] sized by
-    /// `WARP_CAD_THREADS` — the exact defaults of
-    /// [`Orchestrator::new`](crate::Orchestrator::new).
+    /// circuit cache, no pool, and a private [`CadService`] sized by
+    /// `WARP_CAD_THREADS`.
     #[must_use]
     pub fn new(built: Arc<BuiltWorkload>, config: OnlineConfig) -> Self {
         let profiler = Profiler::new(config.options.profiler);
@@ -180,18 +262,13 @@ impl OnlineSession {
         self
     }
 
-    /// Replaces the warp policy with an already-boxed one.
-    #[must_use]
-    pub fn with_policy_box(mut self, policy: Box<dyn WarpPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Shares a circuit cache: kernels compiled by other sessions (or
     /// previous runs) warm-start this one, paying only reconfiguration
     /// cycles on the timeline; this session's compiles warm everyone
-    /// else. The cache's sub-kernel [`CadCaches`] ride along into
-    /// background compiles.
+    /// else — including a compile still in flight when the program
+    /// exits, which is published when the session finishes. The
+    /// cache's sub-kernel [`CadCaches`] ride along into background
+    /// compiles.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<CircuitCache>) -> Self {
         self.cad_caches = cache.cad_caches();
@@ -216,14 +293,6 @@ impl OnlineSession {
     /// place, and parks its `System` back in the pool when it
     /// finishes. Execution is bit-identical to an unpooled session —
     /// the pool only changes where the buffers come from.
-    ///
-    /// Combined with [`with_cache`](OnlineSession::with_cache) (the
-    /// opt-in to cross-session artifact sharing), the pool's
-    /// [`ImageStore`](crate::ImageStore) additionally keeps every
-    /// compiled warp circuit with its program image: a region evicted
-    /// from the bounded cache is re-served as a bitstream rewrite
-    /// instead of a recompile. Without `with_cache` the store is never
-    /// consulted and tenancy stays invisible.
     #[must_use]
     pub fn with_pool(mut self, pool: Arc<SessionPool>) -> Self {
         self.pool = Some(pool);
@@ -286,6 +355,21 @@ impl OnlineSession {
             Some(Ok(_)) => SessionStatus::Finished,
             Some(Err(_)) => SessionStatus::Failed,
         }
+    }
+
+    /// Drives the session to completion: `advance` until it finishes
+    /// or fails, then hand back the outcome.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OnlineError`] if the simulated program faults, the
+    /// final memory diverges from the golden model, a patch cannot be
+    /// applied, a CAD phase fails for a reason other than "region not
+    /// implementable" (those are skipped and blacklisted), or the
+    /// timeline budget runs out.
+    pub fn run(mut self) -> Result<OnlineReport, OnlineError> {
+        self.advance(u64::MAX);
+        self.into_outcome().expect("advance(u64::MAX) drives the session to completion")
     }
 
     /// Consumes the session and returns its outcome: `Some` once
@@ -401,30 +485,17 @@ impl OnlineSession {
         Ok(())
     }
 
-    /// The pool's fleet-shared circuit store, engaged only when the
-    /// session opted into cross-session artifact sharing via
-    /// [`with_cache`](OnlineSession::with_cache) — without that opt-in,
-    /// tenancy must stay invisible to the modeled timeline.
-    fn circuit_store(&self) -> Option<&CircuitCache> {
-        if self.cache.is_some() {
-            self.pool.as_deref().map(SessionPool::circuits)
-        } else {
-            None
-        }
-    }
-
     /// Parks the finished session's `System` in the pool (or drops it).
     fn retire_system(&mut self) {
         // A background compile the timeline never consumed (the program
-        // exited before the join boundary) still produced a host-side
-        // artifact: publish it to the image store so sibling sessions
-        // of the same binary never re-pay the CAD chain. Host memory
-        // only — the modeled on-chip cache is untouched.
-        if self.circuit_store().is_some() {
+        // exited before the join boundary) still produced a circuit:
+        // publish it to the attached cache so sibling sessions of the
+        // same binary never re-pay the CAD chain. This session's
+        // report is already final, so its timeline cannot see it.
+        if let Some(cache) = &self.cache {
             if let CadState::InFlight(f) = std::mem::replace(&mut self.cad, CadState::Idle) {
                 if let Ok(compiled) = f.handle.wait() {
-                    let store = self.circuit_store().expect("checked above");
-                    store.insert_compiled(&Arc::new(compiled));
+                    cache.insert_compiled(&Arc::new(compiled));
                 }
             }
         }
@@ -444,8 +515,7 @@ impl OnlineSession {
     /// finished or failed session returns immediately without work —
     /// `advance` is idempotent past the end.
     ///
-    /// Each slice performs exactly the boundary work of
-    /// [`Orchestrator::run`](crate::Orchestrator::run)'s loop body:
+    /// Each slice performs the same boundary work whatever the budget:
     /// profiler decay on its cadence, joining a background compile at
     /// its deterministic boundary, landing a ready patch, offering
     /// candidates to the policy, and rolling into the next repeat when
@@ -498,9 +568,6 @@ impl OnlineSession {
                     let compiled = Arc::new(compiled);
                     if let Some(c) = &self.cache {
                         c.insert_compiled(&compiled);
-                    }
-                    if let Some(store) = self.circuit_store() {
-                        store.insert_compiled(&compiled);
                     }
                     let cad_cycles = cad_timeline_cycles(
                         &compiled.dpm,
@@ -606,16 +673,7 @@ impl OnlineSession {
                 .find(|r| policy.should_warp(r, &ctx))
                 .copied();
             if let Some(region) = candidate {
-                match begin_warp(
-                    &self.built,
-                    self.cache.as_deref(),
-                    self.circuit_store(),
-                    &self.service,
-                    &self.cad_caches,
-                    &self.config,
-                    &region,
-                    self.cycles,
-                ) {
+                match self.begin_warp(&region) {
                     Ok(Some(state)) => self.cad = state,
                     // Not decompilable/patchable: leave the region in
                     // software, permanently.
@@ -655,6 +713,77 @@ impl OnlineSession {
         Ok(())
     }
 
+    /// Starts the OCPM on a committed region: decompiles, plans the
+    /// binary rewrite, probes the attached circuit cache — all
+    /// synchronously, so their rejections blacklist at the detection
+    /// boundary — then either returns the cached circuit as
+    /// [`CadState::Ready`] or submits compilation to a background worker
+    /// as [`CadState::InFlight`].
+    ///
+    /// `Ok(None)` means decompilation or patch planning rejected the
+    /// region (blacklist it). Fabric rejections surface later, at the
+    /// in-flight join boundary.
+    fn begin_warp(&mut self, region: &HotRegion) -> Result<Option<CadState>, OnlineError> {
+        let lift = |e: WarpError| -> Result<Option<CadState>, OnlineError> {
+            if rejects_region(&e) {
+                Ok(None)
+            } else {
+                Err(OnlineError::Warp(e))
+            }
+        };
+        let (config, now) = (&self.config, self.cycles);
+
+        let decompiled = match pipeline::decompile(&self.built, region) {
+            Ok(d) => d,
+            Err(e) => return lift(e),
+        };
+        // The rewrite plan depends only on the kernel and the program
+        // image, so it is ready before compilation even starts.
+        let plan = match pipeline::plan_patch_kernel(&self.built, &decompiled.kernel) {
+            Ok(p) => p.plan,
+            Err(e) => return lift(e),
+        };
+
+        // A cache hit skips the CAD chain and pays only the bitstream
+        // write.
+        if let Some(hit) = self.cache.as_ref().and_then(|c| c.probe(&decompiled)) {
+            let cad_cycles = cad_timeline_cycles(
+                &hit.dpm,
+                true,
+                config.mb.clock_hz,
+                config.options.dpm_clock_hz,
+            );
+            return Ok(Some(CadState::Ready(PendingWarp {
+                region: *region,
+                compiled: hit,
+                plan,
+                detected_cycle: now,
+                cad_cycles,
+                ready_at: now + cad_cycles,
+                cache_hit: true,
+            })));
+        }
+
+        // The earliest the full budget could possibly elapse is the
+        // decompile floor — known right here, before compiling anything
+        // — so that is the deterministic join boundary for the
+        // background result.
+        let floor_dpm = decompiled.kernel.body_insns as u64 * costs::DECOMPILE_PER_INSN;
+        let join_at =
+            now + to_timeline_cycles(floor_dpm, config.mb.clock_hz, config.options.dpm_clock_hz);
+        let caches = Arc::clone(&self.cad_caches);
+        let handle = self
+            .service
+            .submit(move || pipeline::compile_circuit_cached(&decompiled, Some(&caches)));
+        Ok(Some(CadState::InFlight(InFlightWarp {
+            region: *region,
+            plan,
+            detected_cycle: now,
+            join_at,
+            handle,
+        })))
+    }
+
     /// Builds the final report (last repeat exited and verified).
     fn finalize(&mut self) -> OnlineReport {
         if let Some(a) = &self.active {
@@ -689,21 +818,6 @@ fn capture_warm_image(built: &BuiltWorkload, config: &OnlineConfig) -> (ProgramI
     (image, warm)
 }
 
-/// Builds a session from the parts an [`Orchestrator`](crate::Orchestrator)
-/// holds.
-pub(crate) fn session_from_parts(
-    built: Arc<BuiltWorkload>,
-    config: OnlineConfig,
-    policy: Box<dyn WarpPolicy>,
-    cache: Option<Arc<CircuitCache>>,
-) -> OnlineSession {
-    let mut session = OnlineSession::new(built, config).with_policy_box(policy);
-    if let Some(cache) = cache {
-        session = session.with_cache(cache);
-    }
-    session
-}
-
 /// Whether the PC is outside the stub words an eviction would rewrite.
 /// (Patching the loop head itself is always safe — the current
 /// iteration completes on the original body and the *next* head fetch
@@ -723,92 +837,8 @@ fn stub_is_clear(pc: u32, active: Option<&ActiveWarp>) -> bool {
 /// Whether a CAD failure means "region not WCLA-implementable" — the
 /// caller blacklists the region and execution simply continues in
 /// software, exactly the partitioner's fallback in the paper.
-pub(crate) fn rejects_region(e: &WarpError) -> bool {
+fn rejects_region(e: &WarpError) -> bool {
     matches!(e, WarpError::Decompile(_) | WarpError::Fabric(_) | WarpError::Patch(_))
-}
-
-/// Starts the OCPM on a committed region: decompiles, plans the binary
-/// rewrite, probes the circuit cache — all synchronously, so their
-/// rejections blacklist at the detection boundary — then either returns
-/// the cached circuit as [`CadState::Ready`] or submits compilation to
-/// a background worker as [`CadState::InFlight`].
-///
-/// `Ok(None)` means decompilation or patch planning rejected the
-/// region (blacklist it). Fabric rejections surface later, at the
-/// in-flight join boundary.
-#[allow(clippy::too_many_arguments)]
-fn begin_warp(
-    built: &BuiltWorkload,
-    cache: Option<&CircuitCache>,
-    store: Option<&CircuitCache>,
-    service: &CadService,
-    cad_caches: &Arc<CadCaches>,
-    config: &OnlineConfig,
-    region: &HotRegion,
-    now: u64,
-) -> Result<Option<CadState>, OnlineError> {
-    let lift = |e: WarpError| -> Result<Option<CadState>, OnlineError> {
-        if rejects_region(&e) {
-            Ok(None)
-        } else {
-            Err(OnlineError::Warp(e))
-        }
-    };
-
-    let decompiled = match pipeline::decompile(built, region) {
-        Ok(d) => d,
-        Err(e) => return lift(e),
-    };
-    // The rewrite plan depends only on the kernel and the program
-    // image, so it is ready before compilation even starts.
-    let plan = match pipeline::plan_patch_kernel(built, &decompiled.kernel) {
-        Ok(p) => p.plan,
-        Err(e) => return lift(e),
-    };
-
-    // Probe the modeled on-chip configuration cache first; on a miss,
-    // fall back to the pool's image store (the serving layer's
-    // host-side backing copy). Either way the kernel skips the CAD
-    // chain and pays only the bitstream write — a store rescue also
-    // re-inserts the configuration, making it resident on-chip again.
-    let rescue = cache.and_then(|c| c.probe(&decompiled)).or_else(|| {
-        let hit = store?.probe(&decompiled)?;
-        if let Some(cache) = cache {
-            cache.insert_compiled(&hit);
-        }
-        Some(hit)
-    });
-    if let Some(hit) = rescue {
-        let cad_cycles =
-            cad_timeline_cycles(&hit.dpm, true, config.mb.clock_hz, config.options.dpm_clock_hz);
-        return Ok(Some(CadState::Ready(PendingWarp {
-            region: *region,
-            compiled: hit,
-            plan,
-            detected_cycle: now,
-            cad_cycles,
-            ready_at: now + cad_cycles,
-            cache_hit: true,
-        })));
-    }
-
-    // The earliest the full budget could possibly elapse is the
-    // decompile floor — known right here, before compiling anything —
-    // so that is the deterministic join boundary for the background
-    // result.
-    let floor_dpm = decompiled.kernel.body_insns as u64 * costs::DECOMPILE_PER_INSN;
-    let join_at =
-        now + to_timeline_cycles(floor_dpm, config.mb.clock_hz, config.options.dpm_clock_hz);
-    let caches = Arc::clone(cad_caches);
-    let handle =
-        service.submit(move || pipeline::compile_circuit_cached(&decompiled, Some(&caches)));
-    Ok(Some(CadState::InFlight(InFlightWarp {
-        region: *region,
-        plan,
-        detected_cycle: now,
-        join_at,
-        handle,
-    })))
 }
 
 /// Converts modeled OCPM cycles (at its own clock) into MicroBlaze
@@ -821,12 +851,7 @@ fn to_timeline_cycles(dpm_cycles: u64, mb_hz: u64, dpm_hz: u64) -> u64 {
 /// Converts the OCPM's modeled CAD cycles (at its own clock) into
 /// MicroBlaze timeline cycles. A circuit-cache hit skips the whole CAD
 /// chain and pays only the reconfiguration — the bitstream write.
-pub(crate) fn cad_timeline_cycles(
-    dpm: &DpmReport,
-    cache_hit: bool,
-    mb_hz: u64,
-    dpm_hz: u64,
-) -> u64 {
+fn cad_timeline_cycles(dpm: &DpmReport, cache_hit: bool, mb_hz: u64, dpm_hz: u64) -> u64 {
     let dpm_cycles = if cache_hit { dpm.bitstream_cycles } else { dpm.total_cycles() };
     to_timeline_cycles(dpm_cycles, mb_hz, dpm_hz)
 }
@@ -844,8 +869,136 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::TopKPolicy;
+    use crate::policy::{NeverPolicy, TopKPolicy};
     use mb_isa::MbFeatures;
+    use mb_sim::Engine;
+
+    fn brev() -> Arc<BuiltWorkload> {
+        Arc::new(workloads::by_name("brev").unwrap().build(MbFeatures::paper_default()))
+    }
+
+    #[test]
+    fn never_policy_is_a_pure_software_timeline() {
+        let built = brev();
+        let report = OnlineSession::new(Arc::clone(&built), OnlineConfig::default())
+            .with_policy(NeverPolicy)
+            .run()
+            .unwrap();
+        assert!(report.events.is_empty());
+        assert_eq!(report.exit_code, 0);
+
+        // The sliced never-warp timeline is cycle-identical to one
+        // monolithic software run.
+        let mut sys = built.instantiate(&MbConfig::paper_default());
+        let out = sys.run(500_000_000).unwrap();
+        assert_eq!(report.cycles, out.cycles);
+        assert_eq!(report.instructions, out.instructions);
+    }
+
+    #[test]
+    fn brev_warps_mid_run_and_finishes_in_hardware() {
+        let built = brev();
+        let report = OnlineSession::new(Arc::clone(&built), OnlineConfig::default())
+            .with_policy(TopKPolicy { k: 1, min_count: 256 })
+            .run()
+            .unwrap();
+        assert_eq!(report.events.len(), 1, "brev's cheap CAD must land within one run");
+        let e = &report.events[0];
+        assert_eq!((e.head, e.tail), (built.kernel.head, built.kernel.tail));
+        assert!(e.patched_cycle >= e.detected_cycle + e.cad_cycles);
+        assert!(e.patched_cycle < report.cycles, "patch must land before the program ends");
+        assert!(e.hw.invocations >= 1, "the remaining iterations must run in hardware");
+        assert!(e.hw.iterations > 0);
+        assert!(!e.cache_hit);
+        assert_eq!(e.evicted, None);
+    }
+
+    #[test]
+    fn warm_cache_charges_only_reconfiguration() {
+        let built = brev();
+        let cache = Arc::new(CircuitCache::new());
+        // Slices finer than the CAD budget, so the patch cycle resolves
+        // the cold/warm difference instead of quantizing it away.
+        let config = OnlineConfig { slice_cycles: 2_000, ..OnlineConfig::default() };
+        let run = || {
+            OnlineSession::new(Arc::clone(&built), config.clone())
+                .with_policy(TopKPolicy { k: 1, min_count: 256 })
+                .with_cache(Arc::clone(&cache))
+                .run()
+                .unwrap()
+        };
+        let cold = run();
+        let warm = run();
+        assert!(!cold.events[0].cache_hit);
+        assert!(warm.events[0].cache_hit, "second session must warm-start");
+        assert_eq!(warm.events[0].cad_cycles, {
+            let dpm = warm.events[0].dpm;
+            cad_timeline_cycles(&dpm, true, 85_000_000, warp_core::DEFAULT_DPM_CLOCK_HZ)
+        });
+        assert!(
+            warm.events[0].cad_cycles < cold.events[0].cad_cycles,
+            "warm start must shorten time-to-warp"
+        );
+        assert!(warm.time_to_first_warp().unwrap() < cold.time_to_first_warp().unwrap());
+    }
+
+    /// The megablock trace engine must be invisible to the online
+    /// runtime: hot patches land between slices while the dispatcher is
+    /// mid-trace on the patched loop, and the imem write log must drop
+    /// the dirtied traces so the very next head fetch sees the jump to
+    /// the invocation stub. A full warped run with traces on therefore
+    /// produces the *same* timeline, events, and profiler view as one
+    /// on the block engine (traces off).
+    #[test]
+    fn warped_timeline_is_identical_with_and_without_traces() {
+        let built = brev();
+        let run = |mb: MbConfig| {
+            OnlineSession::new(
+                Arc::clone(&built),
+                OnlineConfig { mb, repeats: 2, ..OnlineConfig::default() },
+            )
+            .with_policy(TopKPolicy { k: 1, min_count: 256 })
+            .run()
+            .unwrap()
+        };
+        let traced = run(MbConfig::paper_default());
+        let untraced = run(MbConfig::paper_default().with_engine(Engine::Block));
+
+        assert_eq!(traced.cycles, untraced.cycles);
+        assert_eq!(traced.instructions, untraced.instructions);
+        assert_eq!(traced.slices, untraced.slices);
+        assert_eq!(traced.exit_code, untraced.exit_code);
+        assert_eq!(traced.profiler, untraced.profiler);
+        assert_eq!(traced.events.len(), untraced.events.len());
+        for (t, u) in traced.events.iter().zip(&untraced.events) {
+            assert_eq!((t.head, t.tail), (u.head, u.tail));
+            assert_eq!(t.detected_cycle, u.detected_cycle);
+            assert_eq!(t.patched_cycle, u.patched_cycle);
+            assert_eq!(t.patched_insns, u.patched_insns);
+            assert_eq!(t.hw.invocations, u.hw.invocations);
+            assert_eq!(t.hw.iterations, u.hw.iterations);
+        }
+        assert!(traced.events[0].hw.invocations >= 2, "patched kernel must run in hardware");
+    }
+
+    #[test]
+    fn repeats_accumulate_one_timeline_and_stay_patched() {
+        let built = brev();
+        let config = OnlineConfig { repeats: 3, ..OnlineConfig::default() };
+        let report = OnlineSession::new(Arc::clone(&built), config.clone())
+            .with_policy(TopKPolicy { k: 1, min_count: 256 })
+            .run()
+            .unwrap();
+        assert_eq!(report.repeats, 3);
+        assert_eq!(report.events.len(), 1, "the standing patch needs no second warp");
+        // Repeats 2 and 3 enter the kernel already warped: one
+        // invocation from the mid-run patch plus one per warm repeat.
+        assert!(report.events[0].hw.invocations >= 3);
+
+        // And the warped repeats are cheaper than software-only ones.
+        let sw = OnlineSession::new(built, config).with_policy(NeverPolicy).run().unwrap();
+        assert!(report.cycles < sw.cycles, "online {} vs software {}", report.cycles, sw.cycles);
+    }
 
     #[test]
     fn cad_budget_scales_with_the_ocpm_clock() {

@@ -15,7 +15,8 @@
 //!
 //! * **Determinism.** A served session's
 //!   [`OnlineReport`](warp_online::OnlineReport) is
-//!   bit-identical to a standalone `Orchestrator` run of the same
+//!   bit-identical to a standalone
+//!   [`OnlineSession::run`](warp_online::OnlineSession::run) of the same
 //!   workload — at any worker count and under any interleaving —
 //!   because a session's timeline depends only on the sequence of
 //!   `advance` calls applied to it (pinned by `tests/determinism.rs`
@@ -24,12 +25,12 @@
 //!   one quantum before requeueing it at the back of the ready queue;
 //!   parked sessions with no granted slices cost nothing, so mostly
 //!   idle fleets scale in memory, not CPU.
-//! * **Cross-tenant CAD sharing.** Sessions may attach one shared,
-//!   bounded [`CircuitCache`](warp_core::CircuitCache): tenants running
-//!   the same kernel over different data hit each other's compiled
-//!   circuits and pay only reconfiguration cycles, and the fleet-wide
-//!   hit rate is reported by the `serveperf` bench into
-//!   `BENCH_serve.json`.
+//! * **Cross-tenant CAD sharing.** Sessions may attach one shared
+//!   [`CircuitCache`](warp_core::CircuitCache), the fleet's only store
+//!   of compiled circuits: tenants running the same kernel over
+//!   different data hit each other's compiled circuits and pay only
+//!   reconfiguration cycles, and the fleet-wide hit rate is reported
+//!   by the `serveperf` bench into `BENCH_serve.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

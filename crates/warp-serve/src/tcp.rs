@@ -5,7 +5,7 @@
 //! The wire layer owns the pieces the protocol's `Create` needs that
 //! the core scheduler deliberately does not know about: the seeded
 //! workload registry (names → [`workloads::Workload::build_seeded`]),
-//! the server-wide shared [`CircuitCache`] that `share_cache: true`
+//! the one server-wide [`CircuitCache`] that `share_cache: true`
 //! sessions attach, and the single [`CadService`] pool every session's
 //! background compiles run on. Sharing the CAD pool is free — results
 //! are consumed only at modeled-time boundaries, so pool contention
@@ -36,21 +36,16 @@ pub struct WireServer {
 }
 
 impl WireServer {
-    /// Binds a listener and starts the scheduler's worker pool.
-    /// `cache` is the server-wide shared circuit cache (pass a
-    /// [`CircuitCache::bounded`] one to cap resident compiled kernels).
+    /// Binds a listener and starts the scheduler's worker pool, with
+    /// an empty server-wide circuit cache.
     ///
     /// # Errors
     ///
     /// Propagates the socket bind failure.
-    pub fn bind(
-        addr: &str,
-        config: ServeConfig,
-        cache: Arc<CircuitCache>,
-    ) -> std::io::Result<Self> {
+    pub fn bind(addr: &str, config: ServeConfig) -> std::io::Result<Self> {
         Ok(WireServer {
             core: Arc::new(Server::start(config)),
-            cache,
+            cache: Arc::new(CircuitCache::new()),
             cad: Arc::new(CadService::from_env()),
             listener: TcpListener::bind(addr)?,
         })

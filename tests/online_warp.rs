@@ -9,7 +9,7 @@
 //!    [`ExecModel`](warp_mb::warp_wcla::ExecModel) cycles/iteration),
 //!    and the end-to-end online speedup must sit in the band the
 //!    offline amortization model predicts;
-//! 2. **mid-run patch invalidation** — the orchestrator's hot patch
+//! 2. **mid-run patch invalidation** — the online runtime's hot patch
 //!    must behave identically with the pre-decoded fetch store on and
 //!    off (the `tests/sim_fast_path.rs` contract, replayed from inside
 //!    the online runtime);
@@ -28,15 +28,17 @@
 //!    identical under `WARP_CAD_THREADS=1` and `=4`: background CAD
 //!    workers trade host wall-clock only, never modeled cycles.
 
+use std::sync::Arc;
+
 use mb_isa::MbFeatures;
 use warp_bench::online::offline_reference;
-use warp_mb::warp_online::{NeverPolicy, OnlineConfig, Orchestrator, ThresholdPolicy, TopKPolicy};
+use warp_mb::warp_online::{NeverPolicy, OnlineConfig, OnlineSession, ThresholdPolicy, TopKPolicy};
 use warp_mb::{mb_sim, workloads};
 
 #[test]
 fn online_converges_to_the_offline_pipeline_on_every_single_kernel_workload() {
     for workload in workloads::all().into_iter().filter(|w| w.name != "phased") {
-        let built = workload.build(MbFeatures::paper_default());
+        let built = Arc::new(workload.build(MbFeatures::paper_default()));
 
         // Offline staged reference with the OCPM clock pre-scaled so
         // the warp lands within a few repeats — the same helper the
@@ -53,7 +55,7 @@ fn online_converges_to_the_offline_pipeline_on_every_single_kernel_workload() {
             repeats,
             ..OnlineConfig::default()
         };
-        let report = Orchestrator::new(&built, config)
+        let report = OnlineSession::new(Arc::clone(&built), config)
             .with_policy(TopKPolicy { k: 1, min_count: offline.kernel_heat })
             .run()
             .unwrap();
@@ -125,14 +127,14 @@ fn orchestrator_patch_replays_the_fast_path_invalidation_contract() {
     // The same online run with the pre-decoded fetch store on and off:
     // the mid-run hot patch must be invisible to simulated results —
     // identical timeline, identical warp events, identical totals.
-    let built = workloads::by_name("brev").unwrap().build(MbFeatures::paper_default());
+    let built = Arc::new(workloads::by_name("brev").unwrap().build(MbFeatures::paper_default()));
     let run = |engine: mb_sim::Engine| {
         let config = OnlineConfig {
             mb: mb_sim::MbConfig::paper_default().with_engine(engine),
             repeats: 2,
             ..OnlineConfig::default()
         };
-        Orchestrator::new(&built, config)
+        OnlineSession::new(Arc::clone(&built), config)
             .with_policy(TopKPolicy { k: 1, min_count: 512 })
             .run()
             .unwrap()
@@ -152,7 +154,7 @@ fn orchestrator_patch_replays_the_fast_path_invalidation_contract() {
 #[test]
 fn phased_workload_rewarps_with_eviction() {
     let features = MbFeatures::paper_default();
-    let built = workloads::phased::build_scaled(features, 300, 150, 700);
+    let built = Arc::new(workloads::phased::build_scaled(features, 300, 150, 700));
     let [kernel_a, kernel_a2, kernel_b] = workloads::phased::phase_kernels(&built);
 
     // The three phase kernels are genuinely different circuits.
@@ -170,7 +172,7 @@ fn phased_workload_rewarps_with_eviction() {
         repeats: 1,
         ..OnlineConfig::default()
     };
-    let report = Orchestrator::new(&built, config.clone())
+    let report = OnlineSession::new(Arc::clone(&built), config.clone())
         .with_policy(ThresholdPolicy { min_count: 3000 })
         .run()
         .unwrap();
@@ -233,7 +235,7 @@ fn phased_workload_rewarps_with_eviction() {
     // Results were verified bit-identical to the golden model inside
     // the run; the warped timeline must also beat the software-only
     // arm of the A-B (same slice scheduler, NeverPolicy).
-    let software = Orchestrator::new(&built, config).with_policy(NeverPolicy).run().unwrap();
+    let software = OnlineSession::new(built, config).with_policy(NeverPolicy).run().unwrap();
     assert!(software.events.is_empty());
     assert!(
         report.cycles < software.cycles,
@@ -296,7 +298,8 @@ fn incremental_rewarp_is_bit_identical_to_from_scratch() {
 
 #[test]
 fn online_timeline_is_identical_across_cad_thread_counts() {
-    let built = workloads::phased::build_scaled(MbFeatures::paper_default(), 150, 75, 350);
+    let built =
+        Arc::new(workloads::phased::build_scaled(MbFeatures::paper_default(), 150, 75, 350));
     let run = |threads: &str| {
         std::env::set_var(warp_mb::warp_core::CAD_THREADS_ENV, threads);
         let config = OnlineConfig {
@@ -305,7 +308,7 @@ fn online_timeline_is_identical_across_cad_thread_counts() {
             repeats: 1,
             ..OnlineConfig::default()
         };
-        let report = Orchestrator::new(&built, config)
+        let report = OnlineSession::new(Arc::clone(&built), config)
             .with_policy(ThresholdPolicy { min_count: 1500 })
             .run()
             .unwrap();
@@ -335,7 +338,8 @@ fn online_error_chain_reaches_the_leaf_cause() {
     // chain-free variant, then check a wrapped chain end-to-end.
     let built = workloads::by_name("brev").unwrap().build(MbFeatures::paper_default());
     let config = OnlineConfig { max_cycles: 1, ..OnlineConfig::default() };
-    let err = Orchestrator::new(&built, config).with_policy(NeverPolicy).run().unwrap_err();
+    let err =
+        OnlineSession::new(Arc::new(built), config).with_policy(NeverPolicy).run().unwrap_err();
     assert!(err.to_string().contains("budget"));
     assert!(err.source().is_none());
 
